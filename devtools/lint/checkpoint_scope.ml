@@ -16,6 +16,7 @@ let name = "checkpoint-scope"
 let checked =
   [
     "alloc";
+    "alloc_ctx";
     "get_next";
     "get_next_word";
     "get_next_packed";
@@ -28,19 +29,20 @@ let checked =
     "mark";
     "cas_root";
     "retire";
+    "retire_ctx";
     "commit_alloc";
     "refresh_next";
     "heal_stale_edge";
   ]
 
-(* The closure-free [checkpoint2]/[checkpoint3] shapes install scope just
+(* The closure-free [checkpoint2] shape installs scope just
    like [checkpoint]; their body arguments are usually references to
    top-level functions, which carry their own allow annotations. *)
 let is_checkpoint_head (e : expression) =
   match Ast_util.fn_name e with
   | Some n -> (
       match Ast_util.last_component n with
-      | "checkpoint" | "checkpoint2" | "checkpoint3" -> true
+      | "checkpoint" | "checkpoint2" -> true
       | _ -> false)
   | None -> false
 

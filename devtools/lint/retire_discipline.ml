@@ -14,13 +14,15 @@ let name = "retire-discipline"
 let cas_like = [ "mark"; "update"; "cas_root"; "compare_and_set" ]
 
 let is_retire fname =
-  Ast_util.is_qualified fname && Ast_util.last_component fname = "retire"
+  Ast_util.is_qualified fname
+  && List.mem (Ast_util.last_component fname) [ "retire"; "retire_ctx" ]
 
 let is_dealloc fname =
   Ast_util.is_qualified fname && Ast_util.last_component fname = "dealloc"
 
 let is_alloc fname =
-  Ast_util.is_qualified fname && Ast_util.last_component fname = "alloc"
+  Ast_util.is_qualified fname
+  && List.mem (Ast_util.last_component fname) [ "alloc"; "alloc_ctx" ]
 
 let is_cas fname = List.mem (Ast_util.last_component fname) cas_like
 

@@ -5,7 +5,7 @@
    (file, name). Pass 2 walks each function body -- and each piece of
    module-level code -- recording *sites*: applications of a named head
    and bare references to known functions (higher-order uses, e.g. a
-   body passed to [checkpoint3]). Every site carries
+   body passed to [checkpoint2]). Every site carries
 
    - its canonical head name (aliases expanded, opens resolved),
    - the function it resolves to, when the callee is in the table
@@ -13,11 +13,10 @@
      [M] names a loaded file that defines [f]; anything else --
      functor parameters like [V.get_next], functor applications --
      stays unresolved and is matched by the rules on its name), and
-   - whether it sits lexically inside a [checkpoint]/[checkpoint2]/
-     [checkpoint3] argument, which is how lexical protection is
-     established: a function *passed to* checkpoint3 is a covered
-     reference, and everything inside the passed closure inherits
-     coverage.
+   - whether it sits lexically inside a [checkpoint]/[checkpoint2]
+     argument, which is how lexical protection is established: a
+     function *passed to* checkpoint2 is a covered reference, and
+     everything inside the passed closure inherits coverage.
 
    The rules then run interprocedural fixpoints over [uses] (who refers
    to whom, covered or not) without touching the trees again. *)
@@ -58,7 +57,7 @@ type t = {
   fn_sites : site list array;  (* per fn id: sites owned by that fn *)
 }
 
-let checkpoint_heads = [ "checkpoint"; "checkpoint2"; "checkpoint3" ]
+let checkpoint_heads = [ "checkpoint"; "checkpoint2" ]
 
 let is_checkpoint canon =
   Ast_util.is_qualified canon

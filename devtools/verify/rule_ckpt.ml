@@ -35,6 +35,7 @@ let doc =
 let prims =
   [
     "alloc";
+    "alloc_ctx";
     "get_next";
     "get_next_word";
     "get_next_packed";
@@ -47,6 +48,7 @@ let prims =
     "mark";
     "cas_root";
     "retire";
+    "retire_ctx";
     "commit_alloc";
     "refresh_next";
     "heal_stale_edge";
@@ -58,7 +60,9 @@ let prims =
 let rollback_raising =
   [
     "alloc";
+    "alloc_ctx";
     "retire";
+    "retire_ctx";
     "get_next";
     "get_next_word";
     "get_next_packed";
@@ -70,7 +74,7 @@ let rollback_raising =
     "validate_epoch";
   ]
 
-let reestablish = [ "refresh_epoch"; "checkpoint"; "checkpoint2"; "checkpoint3" ]
+let reestablish = [ "refresh_epoch"; "checkpoint"; "checkpoint2" ]
 
 let is_call_of set (s : Prog.site) =
   match s.kind with
@@ -140,8 +144,8 @@ let dominance_findings (p : Prog.t) =
                     s.canon why)
                ~hint:
                  "wrap the call in V.checkpoint, or install the checkpoint \
-                  in every caller (checkpoint2/checkpoint3 for \
-                  allocation-free capture)")
+                  in every caller (checkpoint2 for allocation-free \
+                  capture)")
         else None)
       sites
   in

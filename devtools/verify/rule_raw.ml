@@ -10,7 +10,17 @@
    helpers rely on that).
 
    The Padded.cell exemption also carries over: reading through the
-   false-sharing padding wrapper is how the plane itself is reached. *)
+   false-sharing padding wrapper is how the plane itself is reached.
+
+   The rule also confines the node-layout cast to its one home,
+   lib/memsim/node.ml, in every file of the tree: a node's level-0 next
+   word is its field 0 ([link0]) viewed as an [int Atomic.t] by
+   [Obj.magic]. Anywhere else, an [Obj.magic] whose result type is an
+   [Atomic.t] forges an atomic view the Access layer never sees, and a
+   read or write of [Node.link0] is a plain, unordered access to a word
+   that is only sound through [Node.next0]. Both are found on the typed
+   tree: the cast by the instantiated type of the [Obj.magic]
+   occurrence, the field by its label's record type. *)
 
 open Lint_core
 
@@ -31,6 +41,64 @@ let atomic_ops =
   ]
 
 let is_atomic canon = Ast_util.suffix_matches canon ~suffixes:atomic_ops
+let node_home = "lib/memsim/node.ml"
+
+(* [p] names type [t] of module [m], spelled through any library prefix
+   (Memsim.Node.t) or dune's flattened form (Memsim__Node.t). *)
+let names_type_of ~m (p : Path.t) =
+  let n = Path.name p in
+  Ast_util.suffix_matches n ~suffixes:[ m ^ ".t" ]
+  || String.ends_with ~suffix:("__" ^ m ^ ".t") n
+
+let rec result_type ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, _, r, _) -> result_type r
+  | _ -> ty
+
+let is_atomic_type ty =
+  match Types.get_desc (result_type ty) with
+  | Types.Tconstr (p, _, _) -> names_type_of ~m:"Atomic" p
+  | _ -> false
+
+let is_link0 (l : Types.label_description) =
+  l.lbl_name = "link0"
+  &&
+  match Types.get_desc l.lbl_res with
+  | Types.Tconstr (p, _, _) -> names_type_of ~m:"Node" p
+  | _ -> false
+
+let cast_findings (f : Cmt_load.file) =
+  let acc = ref [] in
+  let add loc message hint =
+    acc := Prog.finding ~rule:name ~file:f.rel loc ~message ~hint :: !acc
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      expr =
+        (fun it e ->
+          (match e.exp_desc with
+          | Typedtree.Texp_ident (p, _, _)
+            when Ast_util.suffix_matches (Path.name p) ~suffixes:[ "Obj.magic" ]
+                 && is_atomic_type e.exp_type ->
+              add e.exp_loc
+                "Obj.magic to an Atomic.t outside lib/memsim/node.ml forges \
+                 an atomic view of a word"
+                "the node's level-0 word is reached through Node.next0 / \
+                 Node.word; no other cast to Atomic.t is sound"
+          | Typedtree.Texp_field (_, _, l)
+          | Typedtree.Texp_setfield (_, _, l, _)
+            when is_link0 l ->
+              add e.exp_loc
+                "direct use of Node.link0 (the node's field 0) is a plain \
+                 access to its level-0 next word"
+                "go through Node.next0 (and Memsim.Access) instead"
+          | _ -> ());
+          Tast_iterator.default_iterator.expr it e);
+    }
+  in
+  if f.rel <> node_home then it.structure it f.str;
+  List.rev !acc
 
 let padded_subject (p : Prog.t) (s : Prog.site) =
   match s.kind with
@@ -52,7 +120,8 @@ let padded_subject (p : Prog.t) (s : Prog.site) =
   | Prog.Ref -> false
 
 let check (p : Prog.t) =
-  List.filter_map
+  List.concat_map cast_findings p.files
+  @ List.filter_map
     (fun (s : Prog.site) ->
       if
         Prog.file_kind p s.owner_file = Scope.Optimistic

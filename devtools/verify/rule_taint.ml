@@ -62,7 +62,8 @@ let word_ops =
   ]
 
 let is_retire canon =
-  Ast_util.is_qualified canon && Ast_util.last_component canon = "retire"
+  Ast_util.is_qualified canon
+  && List.mem (Ast_util.last_component canon) [ "retire"; "retire_ctx" ]
 
 let is_deref_prim canon =
   Ast_util.is_qualified canon

@@ -164,17 +164,6 @@ let rec checkpoint2 (c : ctx) f a b =
       on_rollback c;
       checkpoint2 c f a b
 
-let rec checkpoint3 (c : ctx) f a b d =
-  refresh_epoch c;
-  emit c Obs.Trace.Checkpoint ~slot:0 ~v1:0 ~v2:0 ~epoch:c.my_e;
-  match f c a b d with
-  | v ->
-      c.pending <- [];
-      v
-  | exception Rollback ->
-      on_rollback c;
-      checkpoint3 c f a b d
-
 (* Move a full retired list to the allocation pool as a whole (§4.1). *)
 let maybe_flush_retired (c : ctx) =
   if c.retired_len >= c.retire_threshold then begin
@@ -195,6 +184,14 @@ let maybe_flush_retired (c : ctx) =
           batch);
     Pool.put_batch c.pool batch
   end
+
+(* Always succeeds (Figure 1, line 9): the fields of a retired node are
+   invalidated and immutable (Assumption 3), so no concurrent update can
+   intervene between the load and the CAS. Top-level so that [alloc_ctx]
+   allocates no closure per call. *)
+let reinit_word word fresh =
+  let ok = Access.compare_and_set word (Access.get word) fresh in
+  assert ok
 
 let alloc_ctx (c : ctx) ~level key =
   let i = Pool.take c.pool ~level in
@@ -244,19 +241,12 @@ let alloc_ctx (c : ctx) ~level key =
   let b = c.my_e in
   Access.set n.Node.birth b;
   Access.set n.Node.retire Node.no_epoch;
-  let reinit lvl =
-    let word = n.Node.next.(lvl) in
-    let ok =
-      Access.compare_and_set word (Access.get word)
-        (Packed.pack_unchecked ~marked:false ~index:0 ~version:b)
-    in
-    (* Line 9: always succeeds — the fields of a retired node are
-       invalidated and immutable (Assumption 3), so no concurrent update
-       can intervene. *)
-    assert ok
-  in
-  for lvl = 0 to n.Node.level - 1 do
-    reinit lvl
+  (* Line 9: each next word is re-initialised to (null, b) by a CAS from
+     its current value. *)
+  let fresh = Packed.pack_unchecked ~marked:false ~index:0 ~version:b in
+  reinit_word (Node.next0 n) fresh;
+  for lvl = 1 to n.Node.level - 1 do
+    reinit_word (Node.word n lvl) fresh
   done;
   n.Node.key <- key;
   c.pending <- i :: c.pending;
@@ -313,14 +303,14 @@ let birth_of (c : ctx) i =
   if i = 0 then 0 else Access.get (node_spec c i).Node.birth
 
 let get_next (c : ctx) ?(lvl = 0) i =
-  let w = Access.get (node_spec c i).Node.next.(lvl) in
+  let w = Access.get (Node.word (node_spec c i) lvl) in
   let succ = Packed.index w in
   let succ_b = birth_of c succ in
   validate c;
   (succ, succ_b)
 
 let get_next_word (c : ctx) ?(lvl = 0) i =
-  let w = Access.get (node_spec c i).Node.next.(lvl) in
+  let w = Access.get (Node.word (node_spec c i) lvl) in
   let succ = Packed.index w in
   let succ_b = birth_of c succ in
   validate c;
@@ -333,7 +323,7 @@ let get_next_word (c : ctx) ?(lvl = 0) i =
    minor-heap block. [lvl] is a required label to keep even the [Some]
    boxing of an optional argument off the hop. *)
 let get_next_packed (c : ctx) ~lvl i =
-  let w = Access.get (node_spec c i).Node.next.(lvl) in
+  let w = Access.get (Node.word (node_spec c i) lvl) in
   let succ = Packed.index w in
   let succ_b = birth_of c succ in
   validate c;
@@ -347,7 +337,7 @@ let get_next_packed (c : ctx) ~lvl i =
    traversals (Figure 6) need exactly those two, and skipping the
    successor-birth recompute saves a node touch per hop. *)
 let get_next_raw (c : ctx) ~lvl i =
-  let w = Access.get (node_spec c i).Node.next.(lvl) in
+  let w = Access.get (Node.word (node_spec c i) lvl) in
   validate c;
   w
 
@@ -376,7 +366,7 @@ let get_birth (c : ctx) i =
 
 let is_marked (c : ctx) ?(lvl = 0) i ~birth =
   let n = node_spec c i in
-  let res = Packed.is_marked (Access.get n.Node.next.(lvl)) in
+  let res = Packed.is_marked (Access.get (Node.word n lvl)) in
   if Access.get n.Node.birth <> birth then true (* already removed *)
   else res
 
@@ -403,7 +393,7 @@ let update (c : ctx) ?(lvl = 0) i ~birth ~expected ~expected_birth ~new_ ~new_bi
   let exp_v = max birth expected_birth in
   let new_v = max birth new_birth in
   count_cas c ~slot:i
-    (Access.compare_and_set n.Node.next.(lvl)
+    (Access.compare_and_set (Node.word n lvl)
        (Packed.pack_unchecked ~marked:false ~index:expected ~version:exp_v)
        (Packed.pack_unchecked ~marked:false ~index:new_ ~version:new_v))
 
@@ -419,12 +409,12 @@ let update (c : ctx) ?(lvl = 0) i ~birth ~expected ~expected_birth ~new_ ~new_bi
    terminates. See DESIGN.md §"Divergences from the paper's pseudo-code". *)
 let mark (c : ctx) ?(lvl = 0) i ~birth =
   let n = node_spec c i in
-  let w = Access.get n.Node.next.(lvl) in
+  let w = Access.get (Node.word n lvl) in
   if Access.get n.Node.birth <> birth then false (* line 37: already gone *)
   else if Packed.is_marked w then false
   else
     count_cas c ~slot:i
-      (Access.compare_and_set n.Node.next.(lvl) w (Packed.set_mark w))
+      (Access.compare_and_set (Node.word n lvl) w (Packed.set_mark w))
 
 (* Raw-expected variant of [update] for a node's *own* not-yet-linked
    field (a skiplist inserter refreshing its forward pointer): the caller
@@ -433,12 +423,12 @@ let mark (c : ctx) ?(lvl = 0) i ~birth =
    algebra reason as [mark]. *)
 let refresh_next (c : ctx) ?(lvl = 0) i ~birth ~new_ ~new_birth =
   let n = node_spec c i in
-  let w = Access.get n.Node.next.(lvl) in
+  let w = Access.get (Node.word n lvl) in
   if Access.get n.Node.birth <> birth then false
   else if Packed.is_marked w then false
   else
     count_cas c ~slot:i
-      (Access.compare_and_set n.Node.next.(lvl) w
+      (Access.compare_and_set (Node.word n lvl) w
          (Packed.pack_unchecked ~marked:false ~index:new_
             ~version:(max birth new_birth)))
 
@@ -451,7 +441,7 @@ let refresh_next (c : ctx) ?(lvl = 0) i ~birth ~new_ ~new_birth =
    garbage edges; see DESIGN.md. *)
 let heal_stale_edge (c : ctx) ?(lvl = 0) i ~birth ~to_ ~to_birth =
   let n = node_spec c i in
-  let w = Access.get n.Node.next.(lvl) in
+  let w = Access.get (Node.word n lvl) in
   if Access.get n.Node.birth <> birth then false
   else if Packed.is_marked w then false
   else begin
@@ -459,7 +449,7 @@ let heal_stale_edge (c : ctx) ?(lvl = 0) i ~birth ~to_ ~to_birth =
     tgt <> 0
     && Packed.version w < birth_of c tgt
     && count_cas c ~slot:i
-         (Access.compare_and_set n.Node.next.(lvl) w
+         (Access.compare_and_set (Node.word n lvl) w
             (Packed.pack_unchecked ~marked:false ~index:to_
                ~version:(max birth to_birth)))
   end

@@ -108,6 +108,15 @@ val retire : t -> tid:int -> node -> unit
 (** Figure 1, lines 12–16. Idempotent under the double-retire guard; may
     raise {!Rollback} after the node is safely on the retired list. *)
 
+val alloc_ctx : ctx -> level:int -> int -> node
+(** [alloc_ctx c ~level key] is {!alloc} on the thread that owns [c],
+    without the [t]/[tid] lookup: operation bodies that already hold
+    their context allocate through this. *)
+
+val retire_ctx : ctx -> int -> birth:int -> unit
+(** [retire_ctx c i ~birth] is {!retire} of [(i, birth)] on the thread
+    that owns [c]. *)
+
 (** {1 Checkpoints (§4.2.1)} *)
 
 val checkpoint : ctx -> (unit -> 'a) -> 'a
@@ -123,10 +132,6 @@ val checkpoint2 : ctx -> (ctx -> 'a -> 'b -> 'r) -> 'a -> 'b -> 'r
     the closure: when [f] is a top-level function and the arguments are
     immediates, the call allocates nothing, which matters on operation
     hot paths re-run once per rollback. *)
-
-val checkpoint3 : ctx -> (ctx -> 'a -> 'b -> 'c -> 'r) -> 'a -> 'b -> 'c -> 'r
-(** Three-argument sibling of {!checkpoint2} for operation bodies whose
-    state is a few scalars (e.g. structure + tid + key). *)
 
 val refresh_epoch : ctx -> unit
 (** Re-read the global epoch into [my_e]. [checkpoint] does this

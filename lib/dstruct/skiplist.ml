@@ -27,10 +27,8 @@ module Make (R : Reclaim.Smr_intf.S) = struct
     let tail = R.alloc r ~tid:0 ~level:max_level ~key:Set_intf.max_key_bound in
     let head = R.alloc r ~tid:0 ~level:max_level ~key:Set_intf.min_key_bound in
     let hn = Arena.get arena head in
-    Array.iter
-      (fun w ->
-        Access.set w (Packed.pack ~marked:false ~index:tail ~version:0))
-      hn.Node.next;
+    Node.iter_words hn (fun w ->
+        Access.set w (Packed.pack ~marked:false ~index:tail ~version:0));
     {
       r;
       arena;
@@ -53,7 +51,7 @@ module Make (R : Reclaim.Smr_intf.S) = struct
     count 1 x
 
   let node t i = Arena.get t.arena i
-  let next t i l = (node t i).Node.next.(l)
+  let next t i l = Node.word (node t i) l
   let key_of t i = (node t i).Node.key
   let level_of t i = (node t i).Node.level
   (* Arena indices are in range by construction. *)

@@ -1,6 +1,7 @@
-(** The optimistic-reclamation hash table: fixed bucket array of
-    {!Vbr_list} buckets sharing one tail sentinel and one backend
-    instance (§5, load factor 1). *)
+(** The optimistic-reclamation hash table: a fixed array of bucket
+    head-sentinel slots, each the head of a {!Vbr_list} chain, all chains
+    sharing one tail sentinel and one backend instance (§5, load factor
+    1). Operations run {!Vbr_list}'s head-slot entry points directly. *)
 
 module Make (V : Reclaim.Smr_intf.OPTIMISTIC) : sig
   type t

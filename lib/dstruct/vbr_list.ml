@@ -3,11 +3,12 @@
    reuses the Figure 3-6 integration unchanged. *)
 module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
   module P = Memsim.Packed
-  type t = {
-    vbr : V.t;
-    head : int;
-    head_b : int;  (* sentinels are never retired, so their births are fixed *)
-  }
+  (* A list is its backend plus its head sentinel's slot. Sentinels are
+     never retired, so the slot alone names the head for the list's
+     whole life; the [*_at] entry points below take it directly, which
+     is how a hash table drives one list per bucket from a flat array of
+     head slots. *)
+  type t = { vbr : V.t; head : int }
 
   let name = "list/" ^ V.name
 
@@ -18,25 +19,22 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
         V.commit_alloc c i;
         (i, b))
 
-  let create_with_tail vbr ~tail ~tail_birth =
+  let make_head vbr ~tail ~tail_birth =
     let c = V.ctx vbr ~tid:0 in
-    let head, head_b =
-      V.checkpoint c (fun () ->
-          let i, b = V.alloc vbr ~tid:0 ~level:1 ~key:Set_intf.min_key_bound in
-          (* Point head at tail; private until [create] returns. *)
-          let ok =
-            V.update c i ~birth:b ~expected:0 ~expected_birth:b ~new_:tail
-              ~new_birth:tail_birth
-          in
-          assert ok;
-          V.commit_alloc c i;
-          (i, b))
-    in
-    { vbr; head; head_b }
+    V.checkpoint c (fun () ->
+        let i, b = V.alloc vbr ~tid:0 ~level:1 ~key:Set_intf.min_key_bound in
+        (* Point head at tail; private until it is returned. *)
+        let ok =
+          V.update c i ~birth:b ~expected:0 ~expected_birth:b ~new_:tail
+            ~new_birth:tail_birth
+        in
+        assert ok;
+        V.commit_alloc c i;
+        i)
 
   let create vbr =
     let tail, tail_birth = make_tail vbr in
-    create_with_tail vbr ~tail ~tail_birth
+    { vbr; head = make_head vbr ~tail ~tail_birth }
 
   (* Figure 3: the find auxiliary method. Raises Rollback on staleness;
      installed checkpoints live in the calling operation. Leaves
@@ -59,13 +57,13 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
      All the traversal loops live at module level with their state
      threaded as arguments: an inner [let rec] would capture [c] and
      [key] in a fresh closure on every operation. *)
-  let rec find_retry t c key =
-    let w = V.get_next_raw c ~lvl:0 t.head in
+  let rec find_retry head c key =
+    let w = V.get_next_raw c ~lvl:0 head in
     let curr = P.index w in
-    find_loop t c key t.head curr (V.get_key c curr)
+    find_loop head c key head curr (V.get_key c curr)
   [@@vbr.allow "checkpoint-scope"]
 
-  and find_loop t c key pred curr curr_key =
+  and find_loop head c key pred curr curr_key =
     let w = V.get_next_raw c ~lvl:0 curr in
     if P.is_marked w then begin
       (* Walk to the end of the marked segment, then trim it with one
@@ -75,8 +73,8 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
         V.update c pred ~birth:(V.get_birth c pred) ~expected:curr
           ~expected_birth:(V.get_birth c curr) ~new_:succ
           ~new_birth:(V.get_birth c succ)
-      then find_loop t c key pred succ (V.get_key c succ)
-      else find_retry t c key
+      then find_loop head c key pred succ (V.get_key c succ)
+      else find_retry head c key
     end
     else if curr_key >= key then begin
       let s = V.scratch c in
@@ -88,7 +86,7 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
     end
     else
       let succ = P.index w in
-      find_loop t c key curr succ (V.get_key c succ)
+      find_loop head c key curr succ (V.get_key c succ)
   [@@vbr.allow "checkpoint-scope"]
 
   and skip_marked c s =
@@ -98,14 +96,14 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
 
   (* Figure 4. The body re-enters itself on a failed publishing CAS
      instead of an inner loop closure; its checkpoint is installed by
-     [insert] below via the closure-free [checkpoint3]. *)
-  let rec insert_body c t tid key =
-    find_retry t c key;
+     [insert_at] below via the closure-free [checkpoint2]. *)
+  let rec insert_body c head key =
+    find_retry head c key;
     let s = V.scratch c in
     let pred = s.(0) and pred_b = s.(1) and succ = s.(2) and succ_b = s.(3) in
     if s.(4) = key then false
     else begin
-      let n, n_b = V.alloc t.vbr ~tid ~level:1 ~key in
+      let n, n_b = V.alloc_ctx c ~level:1 key in
       (* Point the private node at succ before publishing. *)
       let ok =
         V.update c n ~birth:n_b ~expected:0 ~expected_birth:n_b ~new_:succ
@@ -123,50 +121,53 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
         true
       end
       else begin
-        V.retire t.vbr ~tid (n, n_b);  (* Figure 4, line 15 *)
-        insert_body c t tid key
+        V.retire_ctx c n ~birth:n_b;  (* Figure 4, line 15 *)
+        insert_body c head key
       end
     end
   [@@vbr.allow "checkpoint-scope"]
 
-  let insert t ~tid key =
-    let c = V.ctx t.vbr ~tid in
-    V.checkpoint3 c insert_body t tid key
+  let insert_at vbr ~head ~tid key =
+    V.checkpoint2 (V.ctx vbr ~tid) insert_body head key
 
   (* Figure 5. *)
-  let rec delete_mark_loop c t tid key pred pred_b curr curr_b =
+  let rec delete_mark_loop c head key pred pred_b curr curr_b =
     if V.is_marked c curr ~birth:curr_b then false
-    else begin
-      let succ, succ_b = V.get_next c curr in
-      if V.mark c curr ~birth:curr_b then begin
-        (* Lines 11-16: the mark is the linearization point; the unlink,
-           clean-up find and retire run under a fresh checkpoint so a
-           rollback cannot cross back over it. The closure here is
-           per-successful-delete, not per-hop, so it stays. *)
-        V.checkpoint c (fun () ->
-            if
-              not
-                (V.update c pred ~birth:pred_b ~expected:curr
-                   ~expected_birth:curr_b ~new_:succ ~new_birth:succ_b)
-            then find_retry t c key;
-            V.retire t.vbr ~tid (curr, curr_b));
-        true
-      end
-      else delete_mark_loop c t tid key pred pred_b curr curr_b
+    else if V.mark c curr ~birth:curr_b then begin
+      (* Lines 11-16: the mark is the linearization point; the unlink,
+         clean-up find and retire run under fresh checkpoints so a
+         rollback cannot cross back over it. The successor is read after
+         the mark: a marked word never changes again, so this is the
+         successor the unlink must install. One read before the mark
+         can be stale (an insert after [curr], or the unlink of [curr]'s
+         successor, may land in between), and unlinking to it drops the
+         inserted node or re-links a retired one. The retire has its own
+         checkpoint, so a rollback it raises re-runs only the retire,
+         which is then a no-op. These closures are per successful
+         delete, not per hop. *)
+      V.checkpoint c (fun () ->
+          let succ, succ_b = V.get_next c curr in
+          if
+            not
+              (V.update c pred ~birth:pred_b ~expected:curr
+                 ~expected_birth:curr_b ~new_:succ ~new_birth:succ_b)
+          then find_retry head c key);
+      V.checkpoint c (fun () -> V.retire_ctx c curr ~birth:curr_b);
+      true
     end
+    else delete_mark_loop c head key pred pred_b curr curr_b
   [@@vbr.allow "checkpoint-scope"]
 
-  let delete_body c t tid key =
-    find_retry t c key;
+  let delete_body c head key =
+    find_retry head c key;
     let s = V.scratch c in
     let pred = s.(0) and pred_b = s.(1) and curr = s.(2) and curr_b = s.(3) in
     if s.(4) <> key then false
-    else delete_mark_loop c t tid key pred pred_b curr curr_b
+    else delete_mark_loop c head key pred pred_b curr curr_b
   [@@vbr.allow "checkpoint-scope"]
 
-  let delete t ~tid key =
-    let c = V.ctx t.vbr ~tid in
-    V.checkpoint3 c delete_body t tid key
+  let delete_at vbr ~head ~tid key =
+    V.checkpoint2 (V.ctx vbr ~tid) delete_body head key
 
   (* Figure 6. Wait-free readers need only the successor index per hop
      plus the final node's mark — exactly what [get_next_raw] carries, so
@@ -179,33 +180,36 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
     else curr_key = key && not (P.is_marked (V.get_next_raw c ~lvl:0 curr))
   [@@vbr.allow "checkpoint-scope"]
 
-  let contains_body c t key =
-    let curr = P.index (V.get_next_raw c ~lvl:0 t.head) in
+  let contains_body c head key =
+    let curr = P.index (V.get_next_raw c ~lvl:0 head) in
     contains_loop c key curr (V.get_key c curr)
   [@@vbr.allow "checkpoint-scope"]
 
-  let contains t ~tid key =
-    let c = V.ctx t.vbr ~tid in
-    V.checkpoint2 c contains_body t key
+  let contains_at vbr ~head ~tid key =
+    V.checkpoint2 (V.ctx vbr ~tid) contains_body head key
 
   (* Quiescent-only helpers. *)
-  let to_list t =
-    let arena = V.arena t.vbr in
+  let to_list_at vbr ~head =
+    let arena = V.arena vbr in
     let rec go acc i =
       let w = Atomic.get (Memsim.Node.next0 (Memsim.Arena.get arena i)) in
       let k = (Memsim.Arena.get arena i).Memsim.Node.key in
       if k = Set_intf.max_key_bound then List.rev acc
       else begin
         let acc =
-          if i <> t.head && not (Memsim.Packed.is_marked w) then k :: acc
+          if i <> head && not (Memsim.Packed.is_marked w) then k :: acc
           else acc
         in
         go acc (Memsim.Packed.index w)
       end
     in
-    go [] t.head
+    go [] head
   [@@vbr.allow "raw-atomic"]
 
+  let insert t ~tid key = insert_at t.vbr ~head:t.head ~tid key
+  let delete t ~tid key = delete_at t.vbr ~head:t.head ~tid key
+  let contains t ~tid key = contains_at t.vbr ~head:t.head ~tid key
+  let to_list t = to_list_at t.vbr ~head:t.head
   let size t = List.length (to_list t)
 end
 

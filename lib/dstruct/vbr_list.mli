@@ -22,12 +22,26 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) : sig
   (** A new empty list on the given backend instance (allocates the
       head/tail sentinels from thread 0's context). *)
 
-  val create_with_tail : V.t -> tail:int -> tail_birth:int -> t
-  (** Like {!create} but sharing an existing tail sentinel (hash
-      buckets). *)
-
   val make_tail : V.t -> int * int
   (** Allocate a tail sentinel; returns (index, birth). *)
+
+  val make_head : V.t -> tail:int -> tail_birth:int -> int
+  (** Allocate a head sentinel pointing at an existing tail sentinel;
+      returns its slot. A head slot names an empty list that the [*_at]
+      entry points below operate on (hash buckets share one tail). *)
+
+  (** {2 Head-slot entry points}
+
+      The set operations on the list whose head sentinel is [head]. The
+      [t] operations of {!Set_intf.SET} are these applied to the list's
+      own head. *)
+
+  val insert_at : V.t -> head:int -> tid:int -> int -> bool
+  val delete_at : V.t -> head:int -> tid:int -> int -> bool
+  val contains_at : V.t -> head:int -> tid:int -> int -> bool
+
+  val to_list_at : V.t -> head:int -> int list
+  (** Quiescent only: the chain's live keys in list order. *)
 
   include Set_intf.SET with type t := t
 end

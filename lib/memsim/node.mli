@@ -7,20 +7,26 @@
     exactly the hazard the reclamation schemes must handle.
 
     Field roles:
+    - [link0]: the level-0 packed next word ({!Packed}), stored inline as
+      field 0 so that a hop reads the next word and the key from one
+      block. Never read or write it as a record field: {!next0} is its
+      only access path (vbr-verify's raw-atomic rule flags any other).
     - [key]: the immutable-per-lifecycle key. Written only between
       allocation and publication; stale readers may observe a recycled
       value, which VBR detects via the epoch check.
     - [birth], [retire]: the birth/retire epochs (or eras, for HE/IBR).
       [retire = no_epoch] means "not retired" (the paper's ⊥).
-    - [next]: one packed word ({!Packed}) per tower level. Lists use level
-      1; skiplist towers have geometric height. *)
+    - [upper]: the packed next words of tower levels 1 .. [level - 1].
+      Lists use level 1, whose nodes all share one empty array; skiplist
+      towers have geometric height. *)
 
 type t = {
+  mutable link0 : int;  (** level-0 next word; use {!next0}, never directly *)
   mutable key : int;
   level : int;  (** tower height, fixed at slot creation *)
   birth : int Atomic.t;
   retire : int Atomic.t;
-  next : int Atomic.t array;  (** length [level]; packed words *)
+  upper : int Atomic.t array;  (** length [level - 1]; packed words *)
 }
 
 val no_epoch : int
@@ -33,7 +39,19 @@ val make : level:int -> t
     @raise Invalid_argument if [level < 1]. *)
 
 val next0 : t -> int Atomic.t
-(** The level-0 next word — the only one for list nodes. *)
+(** The level-0 next word — the only one for list nodes. It is the node
+    block itself viewed as an [int Atomic.t] (field 0 is [link0]), so
+    every [Atomic] and {!Access} operation on it targets [link0] and its
+    physical identity is the node's. *)
+
+val word : t -> int -> int Atomic.t
+(** [word n lvl] is the packed next word of tower level [lvl]:
+    [next0 n] for level 0, an element of [upper] above.
+    @raise Invalid_argument unless [0 <= lvl < n.level]. *)
+
+val iter_words : t -> (int Atomic.t -> unit) -> unit
+(** [iter_words n f] applies [f] to every next word of [n], level 0
+    first. *)
 
 val pp : Format.formatter -> t -> unit
 (** Debug printer. *)

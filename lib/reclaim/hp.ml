@@ -135,7 +135,7 @@ let reset_node arena i ~key =
   let n = Arena.get arena i in
   n.Node.key <- key;
   Access.set n.Node.retire Node.no_epoch;
-  Array.iter (fun w -> Access.set w Packed.null) n.Node.next
+  Node.iter_words n (fun w -> Access.set w Packed.null)
 
 let alloc t ~tid ~level ~key =
   let ts = t.threads.(tid) in

@@ -196,10 +196,6 @@ module type OPTIMISTIC = sig
       immediates, the call allocates nothing — operation hot paths use
       this. *)
 
-  val checkpoint3 : ctx -> (ctx -> 'a -> 'b -> 'c -> 'r) -> 'a -> 'b -> 'c -> 'r
-  (** Three-argument sibling of {!checkpoint2} for operation bodies whose
-      state is a few scalars (e.g. structure + tid + key). *)
-
   val refresh_epoch : ctx -> unit
   (** Re-read the global epoch into the thread's cache. [checkpoint] does
       this automatically; exposed for operations that install a checkpoint
@@ -216,6 +212,15 @@ module type OPTIMISTIC = sig
       insertion CAS succeeded), so a later rollback must not recycle it.
       Call immediately after the successful publishing CAS, before any
       further method. *)
+
+  val alloc_ctx : ctx -> level:int -> int -> node
+  (** [alloc_ctx c ~level key] is [alloc] on the thread that owns [c]: an
+      operation body that holds its context needs neither the instance
+      nor the thread id to allocate. *)
+
+  val retire_ctx : ctx -> int -> birth:int -> unit
+  (** [retire_ctx c i ~birth] is [retire] of [(i, birth)] on the thread
+      that owns [c]. *)
 
   (** {2 Birth-stamped reads (Figure 1, lines 17–29)}
 

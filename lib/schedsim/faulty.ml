@@ -49,7 +49,7 @@ module Immediate_free = struct
     let n = Arena.get t.arena i in
     n.Node.key <- key;
     Access.set n.Node.retire Node.no_epoch;
-    Array.iter (fun w -> Access.set w Packed.null) n.Node.next;
+    Node.iter_words n (fun w -> Access.set w Packed.null);
     i
 
   let dealloc t ~tid i =

@@ -15,13 +15,12 @@ let test_fresh_sequence () =
   let n1 = Arena.get a i1 and n2 = Arena.get a i2 in
   Alcotest.(check int) "level 1 tower" 1 n1.Node.level;
   Alcotest.(check int) "level 3 tower" 3 n2.Node.level;
-  Alcotest.(check int) "3 next words" 3 (Array.length n2.Node.next);
+  Alcotest.(check int) "3 next words" 3 (1 + Array.length n2.Node.upper);
   Alcotest.(check int) "fresh birth" 0 (Atomic.get n1.Node.birth);
   Alcotest.(check int) "fresh retire is bottom" Node.no_epoch
     (Atomic.get n1.Node.retire);
-  Array.iter
-    (fun w -> Alcotest.(check int) "next starts NULL" Packed.null (Atomic.get w))
-    n2.Node.next
+  Node.iter_words n2 (fun w ->
+      Alcotest.(check int) "next starts NULL" Packed.null (Atomic.get w))
 
 let test_exhaustion () =
   let a = Arena.create ~capacity:3 in
@@ -141,7 +140,7 @@ let prop_levels =
       let a = Arena.create ~capacity:4 in
       let i = Arena.fresh a ~level in
       let n = Arena.get a i in
-      n.Node.level = level && Array.length n.Node.next = level)
+      n.Node.level = level && 1 + Array.length n.Node.upper = level)
 
 let () =
   Alcotest.run "arena"

@@ -122,6 +122,60 @@ let prop_model mk =
         ops
       && h.to_list () = Iset.elements !m)
 
+(* hash/VBR against a sequential Set model, one domain, for a single
+   bucket (one long chain), a bucket count coprime to the key stride, and
+   one bucket per key. Keys straddle zero so negative keys exercise the
+   bucket routing too. After the whole trace, every key's [contains],
+   [size] and [to_list] must agree with the model. *)
+let key_lo = -10
+let key_hi = 60
+
+let gen_wide_ops =
+  QCheck2.Gen.(
+    list_size (int_range 50 400)
+      (let* k = int_range key_lo key_hi in
+       let* c = int_range 0 2 in
+       return (match c with 0 -> Ins k | 1 -> Del k | _ -> Mem k)))
+
+let prop_vbr_buckets buckets =
+  QCheck2.Test.make
+    ~name:
+      (Printf.sprintf "VBR, %d buckets: final state matches Set model"
+         buckets)
+    ~count:30 gen_wide_ops
+    (fun ops ->
+      let arena = Memsim.Arena.create ~capacity:10_000 in
+      let global = Memsim.Global_pool.create ~max_level:1 in
+      let vbr =
+        Vbr_core.Vbr.create_tuned ~retire_threshold:4 ~arena ~global
+          ~n_threads:1 ()
+      in
+      let h = Dstruct.Vbr_hash.create vbr ~buckets in
+      let m =
+        List.fold_left
+          (fun m op ->
+            match op with
+            | Ins k ->
+                if Dstruct.Vbr_hash.insert h ~tid:0 k <> not (Iset.mem k m)
+                then Alcotest.failf "insert %d disagrees with the model" k;
+                Iset.add k m
+            | Del k ->
+                if Dstruct.Vbr_hash.delete h ~tid:0 k <> Iset.mem k m then
+                  Alcotest.failf "delete %d disagrees with the model" k;
+                Iset.remove k m
+            | Mem k ->
+                if Dstruct.Vbr_hash.contains h ~tid:0 k <> Iset.mem k m then
+                  Alcotest.failf "contains %d disagrees with the model" k;
+                m)
+          Iset.empty ops
+      in
+      for k = key_lo to key_hi do
+        if Dstruct.Vbr_hash.contains h ~tid:0 k <> Iset.mem k m then
+          Alcotest.failf "final contains %d disagrees with the model" k
+      done;
+      Dstruct.Vbr_hash.size h = Iset.cardinal m
+      && Dstruct.Vbr_hash.to_list h = Iset.elements m)
+
 let () =
   let suites =
     List.map
@@ -136,4 +190,10 @@ let () =
           ] ))
       variants
   in
-  Alcotest.run "hash" suites
+  let model =
+    ( "VBR bucket model",
+      List.map
+        (fun b -> QCheck_alcotest.to_alcotest (prop_vbr_buckets b))
+        [ 1; 7; key_hi - key_lo + 1 ] )
+  in
+  Alcotest.run "hash" (suites @ [ model ])

@@ -205,6 +205,83 @@ let test_adversarial_epoch () =
   Alcotest.(check bool) "rollbacks occurred" true
     (stats.Vbr_core.Vbr.rollbacks > 100)
 
+(* Deterministic preemption of a VBR delete, on one domain. Thread 0
+   deletes key 1 from head -> 1 -> 17 -> 33. An Access hook stops it
+   just before its n-th access to node 1's next word and runs one whole
+   operation of thread 1 there: the delete of 17 (node 1's successor) or
+   the insert of 9 (a new successor of node 1). For every n, both
+   operations must succeed, the list must match the model, and every
+   node reachable from the head must be unretired. A delete that unlinks
+   node 1 towards a successor read before its mark fails this: it
+   re-links the retired 17, or drops the inserted 9. *)
+let test_preempted_delete () =
+  let module L = Dstruct.Vbr_list in
+  let scenarios =
+    [
+      ( "delete 17",
+        (fun vbr ~head -> L.delete_at vbr ~head ~tid:1 17),
+        [ 33 ] );
+      ( "insert 9",
+        (fun vbr ~head -> L.insert_at vbr ~head ~tid:1 9),
+        [ 9; 17; 33 ] );
+    ]
+  in
+  List.iter
+    (fun (what, interloper, expected) ->
+      for n = 1 to 6 do
+        let arena = Memsim.Arena.create ~capacity:1_000 in
+        let global = Memsim.Global_pool.create ~max_level:1 in
+        let vbr =
+          Vbr_core.Vbr.create_tuned ~retire_threshold:0 ~arena ~global
+            ~n_threads:2 ()
+        in
+        let tail, tail_birth = L.make_tail vbr in
+        let head = L.make_head vbr ~tail ~tail_birth in
+        List.iter
+          (fun k -> assert (L.insert_at vbr ~head ~tid:0 k))
+          [ 1; 17; 33 ];
+        let next i =
+          Memsim.Packed.index
+            (Atomic.get (Memsim.Node.next0 (Memsim.Arena.get arena i)))
+        in
+        let one = Memsim.Arena.get arena (next head) in
+        let word = Obj.repr (Memsim.Node.next0 one) in
+        let seen = ref 0 and result = ref None in
+        Memsim.Access.install (fun o ->
+            if !result = None && o.word == word then begin
+              incr seen;
+              if !seen = n then begin
+                (* Set first: the interloper's own accesses re-enter
+                   this hook and must pass through. *)
+                result := Some false;
+                result := Some (interloper vbr ~head)
+              end
+            end);
+        let deleted =
+          Fun.protect ~finally:Memsim.Access.uninstall (fun () ->
+              L.delete_at vbr ~head ~tid:0 1)
+        in
+        let ctx = Printf.sprintf "%s before access %d" what n in
+        Alcotest.(check bool) (ctx ^ ": delete 1") true deleted;
+        (match !result with
+        | None -> ()
+        | Some ok ->
+            Alcotest.(check bool) (ctx ^ ": interloper") true ok;
+            Alcotest.(check (list int)) (ctx ^ ": contents") expected
+              (L.to_list_at vbr ~head);
+            let rec reachable i =
+              if i <> tail then begin
+                Alcotest.(check int)
+                  (Printf.sprintf "%s: reachable slot %d unretired" ctx i)
+                  Memsim.Node.no_epoch
+                  (Vbr_core.Vbr.read_retire vbr i);
+                reachable (next i)
+              end
+            in
+            reachable (next head))
+      done)
+    scenarios
+
 let () =
   let suites =
     List.map
@@ -231,6 +308,7 @@ let () =
           [
             Alcotest.test_case "epoch storm vs model" `Slow
               test_adversarial_epoch;
+            Alcotest.test_case "preempted delete" `Quick test_preempted_delete;
           ] );
       ]
   in

@@ -27,13 +27,11 @@ let test_alloc_shape () =
   Alcotest.(check int) "birth = epoch at alloc" b (Atomic.get n.Node.birth);
   Alcotest.(check int) "retire is bottom" Node.no_epoch
     (Atomic.get n.Node.retire);
-  Array.iter
-    (fun w ->
+  Node.iter_words n (fun w ->
       let v = Atomic.get w in
       Alcotest.(check int) "next NULL" 0 (Packed.index v);
       Alcotest.(check int) "version = birth" b (Packed.version v);
       Alcotest.(check bool) "unmarked" false (Packed.is_marked v))
-    n.Node.next
 
 let test_reallocation_epoch_advances () =
   (* Re-allocating a slot retired in the current epoch must bump the
@@ -340,6 +338,137 @@ let test_version_invariant_random () =
       end)
     !live
 
+(* The node-layout contract: the level-0 next word is field 0 of the node
+   block itself, the upper tower words are separate atomics, and every
+   Atomic operation on word 0 leaves the node's other fields alone. *)
+let test_layout_words () =
+  let n = Node.make ~level:4 in
+  Alcotest.(check bool) "next0 n == word n 0" true
+    (Node.next0 n == Node.word n 0);
+  Alcotest.(check bool) "word 0 is the node block" true
+    (Obj.repr (Node.next0 n) == Obj.repr n);
+  let words = List.init 4 (Node.word n) in
+  List.iteri
+    (fun i w ->
+      List.iteri
+        (fun j w' ->
+          if i <> j then
+            Alcotest.(check bool)
+              (Printf.sprintf "word %d != word %d" i j)
+              false (w == w'))
+        words;
+      Alcotest.(check bool) "not the birth word" false (w == n.Node.birth);
+      Alcotest.(check bool) "not the retire word" false (w == n.Node.retire))
+    words;
+  Alcotest.check_raises "no word at level"
+    (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Node.word n 4));
+  let leaf = Node.make ~level:1 in
+  Alcotest.check_raises "level-1 node has one word"
+    (Invalid_argument "index out of bounds") (fun () ->
+      ignore (Node.word leaf 1))
+
+let test_layout_word0_isolated () =
+  let n = Node.make ~level:2 in
+  n.Node.key <- 42;
+  Atomic.set n.Node.birth 5;
+  Atomic.set n.Node.retire 7;
+  let upper = Node.word n 1 in
+  Atomic.set upper (Packed.pack ~marked:false ~index:9 ~version:3);
+  let check_fields what =
+    Alcotest.(check int) (what ^ ": key") 42 n.Node.key;
+    Alcotest.(check int) (what ^ ": level") 2 n.Node.level;
+    Alcotest.(check int) (what ^ ": birth") 5 (Atomic.get n.Node.birth);
+    Alcotest.(check int) (what ^ ": retire") 7 (Atomic.get n.Node.retire);
+    Alcotest.(check int) (what ^ ": upper word")
+      (Packed.pack ~marked:false ~index:9 ~version:3)
+      (Atomic.get upper)
+  in
+  let w0 = Node.next0 n in
+  let rng = Random.State.make [| 7 |] in
+  for step = 1 to 200 do
+    let v =
+      Packed.pack ~marked:(Random.State.bool rng)
+        ~index:(Random.State.int rng 1000)
+        ~version:(Random.State.int rng 1000)
+    in
+    let cur = Atomic.get w0 in
+    if step land 1 = 0 then begin
+      Alcotest.(check bool) "cas from current succeeds" true
+        (Atomic.compare_and_set w0 cur v);
+      Alcotest.(check bool) "cas from stale fails" false
+        (cur <> v && Atomic.compare_and_set w0 cur cur)
+    end
+    else
+      Alcotest.(check int) "exchange returns the old word" cur
+        (Atomic.exchange w0 v);
+    Alcotest.(check int) "word 0 holds the new value" v (Atomic.get w0);
+    check_fields (Printf.sprintf "step %d" step)
+  done
+
+let test_layout_heap_words () =
+  (* The empty tower of a level-1 node is one static atom shared by every
+     such node, so it is not part of the node's own footprint. *)
+  let n = Node.make ~level:1 in
+  Alcotest.(check bool) "level-1 nodes share the empty tower" true
+    (n.Node.upper == (Node.make ~level:1).Node.upper);
+  let words =
+    Obj.reachable_words (Obj.repr n)
+    - Obj.reachable_words (Obj.repr n.Node.upper)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "fresh level-1 node is <= 11 heap words (got %d)" words)
+    true (words <= 11)
+
+let test_layout_access_identity () =
+  (* An Access hook sees one physical word for every level-0 primitive on
+     a slot: the hop load, the versioned CAS and the mark CAS. *)
+  let arena, vbr = setup () in
+  let c = Vbr.ctx vbr ~tid:0 in
+  let i, b =
+    run_ckpt c (fun () ->
+        let i, b = Vbr.alloc vbr ~tid:0 ~level:1 ~key:5 in
+        Vbr.commit_alloc c i;
+        (i, b))
+  in
+  let n = Arena.get arena i in
+  (* The hook goes in inside the checkpoint, so the checkpoint's own
+     epoch load is not recorded. *)
+  let traced f =
+    run_ckpt c (fun () ->
+        let seen = ref [] in
+        Access.install (fun o -> seen := o :: !seen);
+        Fun.protect ~finally:Access.uninstall f;
+        List.rev !seen)
+  in
+  let words kind ops =
+    List.filter_map
+      (fun (o : Access.op) -> if o.kind = kind then Some o.word else None)
+      ops
+  in
+  (* get_next_raw loads the next word first, then the epoch. *)
+  let hop =
+    List.hd
+      (words Access.Read
+         (traced (fun () -> ignore (Vbr.get_next_raw c ~lvl:0 i))))
+  in
+  let upd =
+    words Access.Cas
+      (traced (fun () ->
+           ignore
+             (Vbr.update c i ~birth:b ~expected:0 ~expected_birth:b ~new_:0
+                ~new_birth:b)))
+  in
+  let mrk =
+    words Access.Cas (traced (fun () -> ignore (Vbr.mark c i ~birth:b)))
+  in
+  Alcotest.(check int) "update CASes one word" 1 (List.length upd);
+  Alcotest.(check int) "mark CASes one word" 1 (List.length mrk);
+  Alcotest.(check bool) "hop word is the node block" true (hop == Obj.repr n);
+  Alcotest.(check bool) "update hits the hop word" true (List.hd upd == hop);
+  Alcotest.(check bool) "mark hits the hop word" true (List.hd mrk == hop);
+  Alcotest.(check bool) "mark took effect" true (Vbr.is_marked c i ~birth:b)
+
 let () =
   Alcotest.run "vbr_prim"
     [
@@ -362,5 +491,14 @@ let () =
           Alcotest.test_case "heal_stale_edge" `Quick test_heal_stale_edge;
           Alcotest.test_case "version invariant (random)" `Quick
             test_version_invariant_random;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "word identity" `Quick test_layout_words;
+          Alcotest.test_case "word 0 isolated" `Quick
+            test_layout_word0_isolated;
+          Alcotest.test_case "heap words" `Quick test_layout_heap_words;
+          Alcotest.test_case "access identity" `Quick
+            test_layout_access_identity;
         ] );
     ]

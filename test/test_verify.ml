@@ -52,14 +52,14 @@ let check_only_seeded ~file ~lines () =
 
 let test_fixture_count () =
   (* One finding per seeded violation and nothing else. *)
-  Alcotest.(check int) "total fixture findings" 8
+  Alcotest.(check int) "total fixture findings" 11
     (List.length (Lazy.force fixture_findings))
 
 let test_cmt_trees_loaded () =
   (* Guards the whole suite against a silently-empty scan: zero loaded
      trees would make every "clean" assertion pass vacuously. *)
   let _, nfiles = Lazy.force fixture_run in
-  Alcotest.(check int) "typed trees loaded from the fixture library" 7 nfiles
+  Alcotest.(check int) "typed trees loaded from the fixture libraries" 9 nfiles
 
 let test_suppression_granularity () =
   (* vbr_fx_suppress.ml re-seeds three violations other fixture files
@@ -171,6 +171,12 @@ let violation_cases =
     ("raw-atomic", "lib/dstruct/vbr_fx_alias.ml", 12);
     (* raw Atomic behind an open *)
     ("raw-atomic", "lib/dstruct/vbr_fx_alias.ml", 15);
+    (* Obj.magic to an Atomic.t outside lib/memsim/node.ml *)
+    ("raw-atomic", "lib/dstruct/fx_node_cast.ml", 11);
+    (* plain read of Node.link0 *)
+    ("raw-atomic", "lib/dstruct/fx_node_cast.ml", 14);
+    (* plain write of Node.link0 *)
+    ("raw-atomic", "lib/dstruct/fx_node_cast.ml", 17);
   ]
 
 (* Good-twin coverage: per file, only the seeded lines may fire. *)
@@ -181,6 +187,9 @@ let twin_cases =
     ("lib/dstruct/fx_guard.ml", [ 13 ]);
     ("lib/dstruct/vbr_fx_block.ml", [ 10 ]);
     ("lib/dstruct/fx_intf.ml", []);
+    ("lib/dstruct/fx_node_cast.ml", [ 11; 14; 17 ]);
+    (* the cast's exempt home: the same trick, no findings *)
+    ("lib/memsim/node.ml", []);
   ]
 
 let () =
