@@ -154,7 +154,7 @@ let hang_repro () =
         else begin
           Hashtbl.add visited i ();
           let n = Arena.get arena i in
-          let w = Atomic.get (Node.word n (min l (n.Node.level - 1))) in
+          let w = Atomic.get (Node.word n (min l (Node.level n - 1))) in
           let tgt = Packed.index w in
           let ver = Packed.version w in
           let mk = Packed.is_marked w in

@@ -26,7 +26,9 @@ type ctx = {
   (* Per-thread scratch for multi-value returns on hot paths: a
      traversal that found (pred, curr, ...) writes the components here
      instead of allocating a tuple per call. Single-owner (the ctx is
-     per-thread), so plain int stores. *)
+     per-thread), so plain int stores. Padded onto cache lines of its
+     own: [find] writes five slots per update, and unpadded neighbouring
+     threads' arrays shared a line. *)
   scratch : int array;
   mutable tr : Obs.Trace.ring option;
 }
@@ -64,7 +66,7 @@ let create_tuned ?(retire_threshold = 64) ?(spill = 4096) ~arena ~global
           pending = [];
           epoch_bumps = 0;
           advance_backoff = 0;
-          scratch = Array.make 8 0;
+          scratch = Padded.copy_as_padded (Array.make 8 0);
           tr = None;
         })
   in
@@ -245,7 +247,7 @@ let alloc_ctx (c : ctx) ~level key =
      its current value. *)
   let fresh = Packed.pack_unchecked ~marked:false ~index:0 ~version:b in
   reinit_word (Node.next0 n) fresh;
-  for lvl = 1 to n.Node.level - 1 do
+  for lvl = 1 to Node.level n - 1 do
     reinit_word (Node.word n lvl) fresh
   done;
   n.Node.key <- key;
@@ -253,6 +255,29 @@ let alloc_ctx (c : ctx) ~level key =
   Obs.Counters.shard_incr c.obs Obs.Event.Alloc;
   emit c Obs.Trace.Alloc ~slot:i ~v1:b ~v2:0 ~epoch:b;
   (i, b)
+
+(* Never-retired sentinels in one pass over one fresh range: no pool,
+   no pending list, no CAS (the nodes are private until [base] is
+   returned, and fresh nodes already carry retire ⊥). Stamped as
+   [alloc_ctx] would under a fresh checkpoint on thread 0, so the Alloc
+   counter and trace agree with per-node allocation. *)
+let alloc_sentinels (t : t) ~n ~key ~next ~next_birth =
+  let c = t.ctxs.(0) in
+  let base = Arena.fresh_range t.arena ~n ~level:1 in
+  refresh_epoch c;
+  let b = c.my_e in
+  let link =
+    Packed.pack_unchecked ~marked:false ~index:next ~version:(max b next_birth)
+  in
+  for i = base to base + n - 1 do
+    let nd = node c i in
+    Access.set nd.Node.birth b;
+    Access.set (Node.next0 nd) link;
+    nd.Node.key <- key;
+    emit c Obs.Trace.Alloc ~slot:i ~v1:b ~v2:0 ~epoch:b
+  done;
+  Obs.Counters.shard_add c.obs Obs.Event.Alloc n;
+  (base, b)
 
 let commit_alloc (c : ctx) i =
   (* The common shape is a single pending allocation; skip the filter's
@@ -376,7 +401,7 @@ let read_birth (t : t) i =
 let read_retire (t : t) i =
   Access.get (Arena.get_speculative t.arena i).Node.retire
 
-let read_level (t : t) i = (Arena.get_speculative t.arena i).Node.level
+let read_level (t : t) i = Node.level (Arena.get_speculative t.arena i)
 let validate_epoch = validate
 
 (* [slot] names the CASed node (0 for a root word) so a traced run can

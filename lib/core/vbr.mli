@@ -69,7 +69,8 @@ val ctx : t -> tid:int -> ctx
 (** The context of thread [tid] (0-based). *)
 
 val scratch : ctx -> int array
-(** The context's per-thread scratch plane (8 slots): hot paths that
+(** The context's per-thread scratch plane (at least 8 slots, on cache
+    lines no other thread's scratch shares): hot paths that
     would otherwise return a tuple per call (a find's pred/curr/key)
     write their components here instead — zero allocation. Contents are
     only meaningful between a writer and the immediately following
@@ -107,6 +108,20 @@ val dealloc : t -> tid:int -> node -> unit
 val retire : t -> tid:int -> node -> unit
 (** Figure 1, lines 12–16. Idempotent under the double-retire guard; may
     raise {!Rollback} after the node is safely on the retired list. *)
+
+val alloc_sentinels :
+  t -> n:int -> key:int -> next:int -> next_birth:int -> int * int
+(** [alloc_sentinels t ~n ~key ~next ~next_birth] carves [n] never-retired
+    level-1 nodes as one contiguous fresh range ({!Memsim.Arena.fresh_range})
+    and returns [(base, birth)]: slots [base .. base + n - 1] all have
+    birth [birth] (the current epoch), retire ⊥, key [key], and a level-0
+    word pointing at [next] with version [max birth next_birth] — the
+    {!update} encoding, so a versioned CAS can replace it. No slot passes
+    through a pool or the pending list. Thread 0's [Alloc] counter and
+    trace ring record one event per node. Call before the instance is
+    shared; sentinels must never be retired, which makes [birth] a
+    constant a structure may cache.
+    @raise Memsim.Arena.Exhausted if fewer than [n] fresh slots remain. *)
 
 val alloc_ctx : ctx -> level:int -> int -> node
 (** [alloc_ctx c ~level key] is {!alloc} on the thread that owns [c],

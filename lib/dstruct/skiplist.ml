@@ -53,7 +53,7 @@ module Make (R : Reclaim.Smr_intf.S) = struct
   let node t i = Arena.get t.arena i
   let next t i l = Node.word (node t i) l
   let key_of t i = (node t i).Node.key
-  let level_of t i = (node t i).Node.level
+  let level_of t i = Node.level (node t i)
   (* Arena indices are in range by construction. *)
   let word_to i = Packed.pack_unchecked ~marked:false ~index:i ~version:0
 

@@ -3,38 +3,27 @@
    reuses the Figure 3-6 integration unchanged. *)
 module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
   module P = Memsim.Packed
-  (* A list is its backend plus its head sentinel's slot. Sentinels are
-     never retired, so the slot alone names the head for the list's
-     whole life; the [*_at] entry points below take it directly, which
-     is how a hash table drives one list per bucket from a flat array of
-     head slots. *)
-  type t = { vbr : V.t; head : int }
+  (* A list is its backend plus its head handle: one packed word whose
+     index is the head sentinel's slot and whose version is that
+     sentinel's birth. Sentinels are never retired, so the handle names
+     the head, birth included, for the list's whole life; the [*_at]
+     entry points below take it directly, which is how a hash table
+     drives one list per bucket from a range of head sentinels. *)
+  type t = { vbr : V.t; head : P.t }
 
   let name = "list/" ^ V.name
 
   let make_tail vbr =
-    let c = V.ctx vbr ~tid:0 in
-    V.checkpoint c (fun () ->
-        let i, b = V.alloc vbr ~tid:0 ~level:1 ~key:Set_intf.max_key_bound in
-        V.commit_alloc c i;
-        (i, b))
-
-  let make_head vbr ~tail ~tail_birth =
-    let c = V.ctx vbr ~tid:0 in
-    V.checkpoint c (fun () ->
-        let i, b = V.alloc vbr ~tid:0 ~level:1 ~key:Set_intf.min_key_bound in
-        (* Point head at tail; private until it is returned. *)
-        let ok =
-          V.update c i ~birth:b ~expected:0 ~expected_birth:b ~new_:tail
-            ~new_birth:tail_birth
-        in
-        assert ok;
-        V.commit_alloc c i;
-        i)
+    V.alloc_sentinels vbr ~n:1 ~key:Set_intf.max_key_bound ~next:0
+      ~next_birth:0
 
   let create vbr =
     let tail, tail_birth = make_tail vbr in
-    { vbr; head = make_head vbr ~tail ~tail_birth }
+    let head, head_birth =
+      V.alloc_sentinels vbr ~n:1 ~key:Set_intf.min_key_bound ~next:tail
+        ~next_birth:tail_birth
+    in
+    { vbr; head = P.pack ~marked:false ~index:head ~version:head_birth }
 
   (* Figure 3: the find auxiliary method. Raises Rollback on staleness;
      installed checkpoints live in the calling operation. Leaves
@@ -52,15 +41,21 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
      place of the per-hop birth, is equivalent inside a checkpoint: a
      recycled node implies an epoch advance, which the next validated
      read turns into the same re-run that the eager birth check would
-     have forced one step later.
+     have forced one step later. When [pred] is the head sentinel its
+     birth comes from the head handle instead: it never changes, and
+     the read of [curr]'s birth that follows still validates.
 
      All the traversal loops live at module level with their state
      threaded as arguments: an inner [let rec] would capture [c] and
      [key] in a fresh closure on every operation. *)
+  let pred_birth head c pred =
+    if pred = P.index head then P.version head else V.get_birth c pred
+  [@@vbr.allow "checkpoint-scope"]
+
   let rec find_retry head c key =
-    let w = V.get_next_raw c ~lvl:0 head in
-    let curr = P.index w in
-    find_loop head c key head curr (V.get_key c curr)
+    let h = P.index head in
+    let curr = P.index (V.get_next_raw c ~lvl:0 h) in
+    find_loop head c key h curr (V.get_key c curr)
   [@@vbr.allow "checkpoint-scope"]
 
   and find_loop head c key pred curr curr_key =
@@ -70,7 +65,7 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
          versioned update (Figure 3, lines 9-13) — rollback-safe. *)
       let succ = skip_marked c (P.index w) in
       if
-        V.update c pred ~birth:(V.get_birth c pred) ~expected:curr
+        V.update c pred ~birth:(pred_birth head c pred) ~expected:curr
           ~expected_birth:(V.get_birth c curr) ~new_:succ
           ~new_birth:(V.get_birth c succ)
       then find_loop head c key pred succ (V.get_key c succ)
@@ -79,7 +74,7 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
     else if curr_key >= key then begin
       let s = V.scratch c in
       s.(0) <- pred;
-      s.(1) <- V.get_birth c pred;
+      s.(1) <- pred_birth head c pred;
       s.(2) <- curr;
       s.(3) <- V.get_birth c curr;
       s.(4) <- curr_key
@@ -181,7 +176,7 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
   [@@vbr.allow "checkpoint-scope"]
 
   let contains_body c head key =
-    let curr = P.index (V.get_next_raw c ~lvl:0 head) in
+    let curr = P.index (V.get_next_raw c ~lvl:0 (P.index head)) in
     contains_loop c key curr (V.get_key c curr)
   [@@vbr.allow "checkpoint-scope"]
 
@@ -191,6 +186,7 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
   (* Quiescent-only helpers. *)
   let to_list_at vbr ~head =
     let arena = V.arena vbr in
+    let head = P.index head in
     let rec go acc i =
       let w = Atomic.get (Memsim.Node.next0 (Memsim.Arena.get arena i)) in
       let k = (Memsim.Arena.get arena i).Memsim.Node.key in

@@ -25,22 +25,22 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) : sig
   val make_tail : V.t -> int * int
   (** Allocate a tail sentinel; returns (index, birth). *)
 
-  val make_head : V.t -> tail:int -> tail_birth:int -> int
-  (** Allocate a head sentinel pointing at an existing tail sentinel;
-      returns its slot. A head slot names an empty list that the [*_at]
-      entry points below operate on (hash buckets share one tail). *)
+  (** {2 Head-handle entry points}
 
-  (** {2 Head-slot entry points}
+      The set operations on the list whose head sentinel is named by
+      [head]: a packed word ({!Memsim.Packed}) whose index is the head
+      sentinel's slot and whose version is its birth. Sentinels are
+      never retired, so the handle stays exact for the list's life and
+      an operation never reads the head's birth word. A handle built
+      from {!Reclaim.Smr_intf.OPTIMISTIC.alloc_sentinels} names an empty
+      list (hash buckets share one tail). The [t] operations of
+      {!Set_intf.SET} are these applied to the list's own head. *)
 
-      The set operations on the list whose head sentinel is [head]. The
-      [t] operations of {!Set_intf.SET} are these applied to the list's
-      own head. *)
+  val insert_at : V.t -> head:Memsim.Packed.t -> tid:int -> int -> bool
+  val delete_at : V.t -> head:Memsim.Packed.t -> tid:int -> int -> bool
+  val contains_at : V.t -> head:Memsim.Packed.t -> tid:int -> int -> bool
 
-  val insert_at : V.t -> head:int -> tid:int -> int -> bool
-  val delete_at : V.t -> head:int -> tid:int -> int -> bool
-  val contains_at : V.t -> head:int -> tid:int -> int -> bool
-
-  val to_list_at : V.t -> head:int -> int list
+  val to_list_at : V.t -> head:Memsim.Packed.t -> int list
   (** Quiescent only: the chain's live keys in list order. *)
 
   include Set_intf.SET with type t := t

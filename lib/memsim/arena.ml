@@ -49,13 +49,19 @@ let ensure_chunk t ci =
     else Atomic.get cell
   end
 
-let fresh t ~level =
-  let i = Atomic.fetch_and_add t.next_fresh 1 in
-  if i > t.capacity then raise Exhausted;
-  let chunk = ensure_chunk t (i lsr t.chunk_bits) in
-  let node = Node.make ~level in
-  chunk.(i land ((1 lsl t.chunk_bits) - 1)) <- node;
-  i
+(* One bump claims the whole range, so its slots are contiguous even
+   when other domains claim concurrently; a range may straddle chunks. *)
+let fresh_range t ~n ~level =
+  if n < 1 then invalid_arg "Arena.fresh_range: n must be >= 1";
+  let base = Atomic.fetch_and_add t.next_fresh n in
+  if base + n - 1 > t.capacity then raise Exhausted;
+  for i = base to base + n - 1 do
+    let chunk = ensure_chunk t (i lsr t.chunk_bits) in
+    chunk.(i land t.chunk_mask) <- Node.make ~level
+  done;
+  base
+
+let fresh t ~level = fresh_range t ~n:1 ~level
 
 (* The bump counter advances even on attempts that raise [Exhausted], so
    clamp to the capacity. *)

@@ -16,7 +16,7 @@
 type t
 
 exception Exhausted
-(** Raised by {!fresh} when the arena capacity (or the 24-bit index space)
+(** Raised by {!fresh} and {!fresh_range} when the arena capacity (or the 24-bit index space)
     is used up. Benchmarks size arenas so that only a buggy configuration
     can hit this. *)
 
@@ -43,6 +43,16 @@ val fresh : t -> level:int -> int
     height. Lock-free (one [Atomic.fetch_and_add]).
     @raise Exhausted when no fresh slot remains.
     @raise Invalid_argument if [level < 1]. *)
+
+val fresh_range : t -> n:int -> level:int -> int
+(** [fresh_range t ~n ~level] claims [n] never-used, contiguous slots
+    [base .. base + n - 1] with one [Atomic.fetch_and_add] and creates
+    their nodes; returns [base]. The range may straddle chunks. A
+    structure that needs many nodes of one shape at creation (hash
+    bucket sentinels) can then name them by arithmetic on [base].
+    @raise Exhausted when fewer than [n] fresh slots remain (the bump
+    counter still advances, as for {!fresh}).
+    @raise Invalid_argument if [n < 1] or [level < 1]. *)
 
 val allocated : t -> int
 (** Number of fresh slots claimed so far (never decreases; recycling does

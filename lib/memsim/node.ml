@@ -1,7 +1,6 @@
 type t = {
   mutable link0 : int;
   mutable key : int;
-  level : int;
   birth : int Atomic.t;
   retire : int Atomic.t;
   upper : int Atomic.t array;
@@ -15,7 +14,6 @@ let make ~level =
   {
     link0 = Packed.null;
     key = 0;
-    level;
     birth = Atomic.make 0;
     retire = Atomic.make no_epoch;
     upper =
@@ -35,6 +33,8 @@ let make ~level =
    fields are never reached through the view. *)
 let[@inline] next0 (n : t) : int Atomic.t = Obj.magic n
 
+let[@inline] level n = 1 + Array.length n.upper
+
 let[@inline] word n lvl =
   if lvl = 0 then next0 n else Array.get n.upper (lvl - 1)
 
@@ -44,5 +44,5 @@ let iter_words n f =
 
 let pp ppf n =
   Format.fprintf ppf "{key=%d; level=%d; birth=%d; retire=%d; next0=%a}" n.key
-    n.level (Atomic.get n.birth) (Atomic.get n.retire) Packed.pp
+    (level n) (Atomic.get n.birth) (Atomic.get n.retire) Packed.pp
     (Atomic.get (next0 n))

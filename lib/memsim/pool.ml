@@ -70,7 +70,7 @@ let put_no_spill t i =
   (match Arena.sanitizer t.arena with
   | None -> ()
   | Some s -> Sanitizer.note_free s i node);
-  let lvl = node.Node.level - 1 in
+  let lvl = Node.level node - 1 in
   t.free.(lvl) <- i :: t.free.(lvl);
   t.free_len.(lvl) <- t.free_len.(lvl) + 1;
   lvl

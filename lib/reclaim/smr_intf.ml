@@ -176,7 +176,8 @@ module type OPTIMISTIC = sig
   (** The context of thread [tid] (0-based). *)
 
   val scratch : ctx -> int array
-  (** The context's per-thread scratch plane (8 slots): hot paths that
+  (** The context's per-thread scratch plane (at least 8 slots, on cache
+      lines no other thread's scratch shares): hot paths that
       would otherwise return a tuple per call (a find's pred/curr/key)
       write their components here instead — zero allocation. Contents
       are only meaningful between a writer and the immediately
@@ -212,6 +213,15 @@ module type OPTIMISTIC = sig
       insertion CAS succeeded), so a later rollback must not recycle it.
       Call immediately after the successful publishing CAS, before any
       further method. *)
+
+  val alloc_sentinels :
+    t -> n:int -> key:int -> next:int -> next_birth:int -> int * int
+  (** [alloc_sentinels t ~n ~key ~next ~next_birth] is [(base, birth)]
+      of [n] contiguous, never-retired level-1 nodes (slots [base .. base
+      + n - 1]) with key [key], birth [birth], and a level-0 word
+      pointing at [next] with version [max birth next_birth]. For a
+      structure's sentinels, built before the instance is shared: since
+      they are never retired, [birth] is a constant callers may cache. *)
 
   val alloc_ctx : ctx -> level:int -> int -> node
   (** [alloc_ctx c ~level key] is [alloc] on the thread that owns [c]: an

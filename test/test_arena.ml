@@ -13,8 +13,8 @@ let test_fresh_sequence () =
   Alcotest.(check int) "second slot is 2" 2 i2;
   Alcotest.(check int) "allocated count" 2 (Arena.allocated a);
   let n1 = Arena.get a i1 and n2 = Arena.get a i2 in
-  Alcotest.(check int) "level 1 tower" 1 n1.Node.level;
-  Alcotest.(check int) "level 3 tower" 3 n2.Node.level;
+  Alcotest.(check int) "level 1 tower" 1 (Node.level n1);
+  Alcotest.(check int) "level 3 tower" 3 (Node.level n2);
   Alcotest.(check int) "3 next words" 3 (1 + Array.length n2.Node.upper);
   Alcotest.(check int) "fresh birth" 0 (Atomic.get n1.Node.birth);
   Alcotest.(check int) "fresh retire is bottom" Node.no_epoch
@@ -29,6 +29,36 @@ let test_exhaustion () =
   ignore (Arena.fresh a ~level:1);
   Alcotest.check_raises "exhausted" Arena.Exhausted (fun () ->
       ignore (Arena.fresh a ~level:1))
+
+let test_fresh_range () =
+  (* One bump per range: contiguous slots, each a fresh node of the
+     requested height, also when the range straddles a 16K-slot chunk
+     edge; a range past the capacity raises [Exhausted]. *)
+  let chunk = 1 lsl 14 in
+  let a = Arena.create ~capacity:(chunk + 100) in
+  let i0 = Arena.fresh a ~level:1 in
+  let base = Arena.fresh_range a ~n:10 ~level:2 in
+  Alcotest.(check int) "range starts after the fresh slot" (i0 + 1) base;
+  for i = base to base + 9 do
+    Alcotest.(check int) "range node shape" 2 (Node.level (Arena.get a i))
+  done;
+  let filler = Arena.fresh_range a ~n:(chunk - 20) ~level:1 in
+  Alcotest.(check int) "filler is contiguous" (base + 10) filler;
+  let edge = Arena.fresh_range a ~n:50 ~level:1 in
+  Alcotest.(check bool) "range straddles the chunk edge" true
+    (edge < chunk && edge + 49 >= chunk);
+  for i = edge to edge + 49 do
+    let n = Arena.get a i in
+    Alcotest.(check int) "edge node shape" 1 (Node.level n);
+    Alcotest.(check bool) "own node record" false (n == Arena.get a (i - 1))
+  done;
+  Alcotest.(check int) "slots claimed" (edge + 49) (Arena.allocated a);
+  let left = Arena.capacity a - Arena.allocated a in
+  Alcotest.check_raises "past capacity" Arena.Exhausted (fun () ->
+      ignore (Arena.fresh_range a ~n:(left + 1) ~level:1));
+  Alcotest.check_raises "n < 1 rejected"
+    (Invalid_argument "Arena.fresh_range: n must be >= 1") (fun () ->
+      ignore (Arena.fresh_range a ~n:0 ~level:1))
 
 let test_bounds () =
   let a = Arena.create ~capacity:10 in
@@ -140,7 +170,7 @@ let prop_levels =
       let a = Arena.create ~capacity:4 in
       let i = Arena.fresh a ~level in
       let n = Arena.get a i in
-      n.Node.level = level && 1 + Array.length n.Node.upper = level)
+      Node.level n = level && Array.length n.Node.upper = level - 1)
 
 let () =
   Alcotest.run "arena"
@@ -148,6 +178,7 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "fresh sequence" `Quick test_fresh_sequence;
+          Alcotest.test_case "fresh range" `Quick test_fresh_range;
           Alcotest.test_case "exhaustion" `Quick test_exhaustion;
           Alcotest.test_case "bounds" `Quick test_bounds;
           Alcotest.test_case "chunk boundaries" `Quick test_chunk_boundaries;

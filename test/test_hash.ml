@@ -176,6 +176,76 @@ let prop_vbr_buckets buckets =
       Dstruct.Vbr_hash.size h = Iset.cardinal m
       && Dstruct.Vbr_hash.to_list h = Iset.elements m)
 
+(* hash/VBR carves its bucket head sentinels as one slot range: bucket
+   [b]'s head handle is slot [base + b] with the sentinels' common birth,
+   and every chain starts at its own head. The heads stay arena nodes
+   keyed [min_key_bound]: that is how perfbench's ladder finds chains. *)
+let vbr_hash ~buckets =
+  let arena = Memsim.Arena.create ~capacity:1_000 in
+  let global = Memsim.Global_pool.create ~max_level:1 in
+  let vbr =
+    Vbr_core.Vbr.create_tuned ~retire_threshold:4 ~arena ~global ~n_threads:1 ()
+  in
+  (arena, vbr, Dstruct.Vbr_hash.create vbr ~buckets)
+
+let test_vbr_head_range () =
+  let module P = Memsim.Packed in
+  let arena, vbr, h = vbr_hash ~buckets in
+  let head = Dstruct.Vbr_hash.head h in
+  let base = P.index (head 0) in
+  let min_key_nodes =
+    List.filter
+      (fun i ->
+        (Memsim.Arena.get arena i).Memsim.Node.key
+        = Dstruct.Set_intf.min_key_bound)
+      (List.init (Memsim.Arena.allocated arena) (fun i -> i + 1))
+  in
+  Alcotest.(check (list int)) "the min-key nodes are the range base + b"
+    (List.init buckets (fun b -> base + b))
+    min_key_nodes;
+  for b = 0 to buckets - 1 do
+    let slot = base + b in
+    Alcotest.(check int) "bucket b's head is base + b" slot (P.index (head b));
+    Alcotest.(check int) "key routing wraps" slot (P.index (head (b + buckets)));
+    (* [buckets] is a power of two, so a negative key's non-negative
+       residue is its low bits. *)
+    Alcotest.(check int) "negative keys route by residue" slot
+      (P.index (head (b - (4 * buckets))));
+    Alcotest.(check int) "handle carries the sentinel's birth"
+      (Vbr_core.Vbr.read_birth vbr slot) (P.version (head b));
+    Alcotest.(check bool) "insert" true (Dstruct.Vbr_hash.insert h ~tid:0 b)
+  done;
+  for b = 0 to buckets - 1 do
+    Alcotest.(check (list int)) "chain from base + b holds b" [ b ]
+      (Dstruct.Vbr_list.to_list_at vbr ~head:(head b))
+  done
+
+(* An insert into an empty bucket never reads the head sentinel's birth
+   word: the head handle carries it. The same run must read the tail's
+   birth (the CAS needs it), so the hook does see birth-word reads. *)
+let test_vbr_insert_skips_head_birth () =
+  let arena, _, h = vbr_hash ~buckets:4 in
+  let key = 5 in
+  let node i = Memsim.Arena.get arena i in
+  let hd = Memsim.Packed.index (Dstruct.Vbr_hash.head h key) in
+  let tail =
+    Memsim.Packed.index (Atomic.get (Memsim.Node.next0 (node hd)))
+  in
+  let birth_word i = Obj.repr (node i).Memsim.Node.birth in
+  let reads = ref [] in
+  Memsim.Access.install (fun o ->
+      if o.Memsim.Access.kind = Memsim.Access.Read then
+        reads := o.Memsim.Access.word :: !reads);
+  let ok =
+    Fun.protect ~finally:Memsim.Access.uninstall (fun () ->
+        Dstruct.Vbr_hash.insert h ~tid:0 key)
+  in
+  Alcotest.(check bool) "inserted" true ok;
+  Alcotest.(check bool) "no read of the head sentinel's birth" false
+    (List.memq (birth_word hd) !reads);
+  Alcotest.(check bool) "the tail's birth is read" true
+    (List.memq (birth_word tail) !reads)
+
 let () =
   let suites =
     List.map
@@ -196,4 +266,12 @@ let () =
         (fun b -> QCheck_alcotest.to_alcotest (prop_vbr_buckets b))
         [ 1; 7; key_hi - key_lo + 1 ] )
   in
-  Alcotest.run "hash" (suites @ [ model ])
+  let layout =
+    ( "VBR bucket sentinels",
+      [
+        Alcotest.test_case "head range" `Quick test_vbr_head_range;
+        Alcotest.test_case "insert skips head birth" `Quick
+          test_vbr_insert_skips_head_birth;
+      ] )
+  in
+  Alcotest.run "hash" (suites @ [ model; layout ])

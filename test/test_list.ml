@@ -206,7 +206,8 @@ let test_adversarial_epoch () =
     (stats.Vbr_core.Vbr.rollbacks > 100)
 
 (* Deterministic preemption of a VBR delete, on one domain. Thread 0
-   deletes key 1 from head -> 1 -> 17 -> 33. An Access hook stops it
+   deletes key 1 from head -> 1 -> 17 -> 33, driving the list through
+   its packed head handle (sentinel slot, birth). An Access hook stops it
    just before its n-th access to node 1's next word and runs one whole
    operation of thread 1 there: the delete of 17 (node 1's successor) or
    the insert of 9 (a new successor of node 1). For every n, both
@@ -236,7 +237,12 @@ let test_preempted_delete () =
             ~n_threads:2 ()
         in
         let tail, tail_birth = L.make_tail vbr in
-        let head = L.make_head vbr ~tail ~tail_birth in
+        let h, h_birth =
+          Vbr_core.Vbr.alloc_sentinels vbr ~n:1
+            ~key:Dstruct.Set_intf.min_key_bound ~next:tail
+            ~next_birth:tail_birth
+        in
+        let head = Memsim.Packed.pack ~marked:false ~index:h ~version:h_birth in
         List.iter
           (fun k -> assert (L.insert_at vbr ~head ~tid:0 k))
           [ 1; 17; 33 ];
@@ -244,7 +250,7 @@ let test_preempted_delete () =
           Memsim.Packed.index
             (Atomic.get (Memsim.Node.next0 (Memsim.Arena.get arena i)))
         in
-        let one = Memsim.Arena.get arena (next head) in
+        let one = Memsim.Arena.get arena (next h) in
         let word = Obj.repr (Memsim.Node.next0 one) in
         let seen = ref 0 and result = ref None in
         Memsim.Access.install (fun o ->
@@ -278,7 +284,7 @@ let test_preempted_delete () =
                 reachable (next i)
               end
             in
-            reachable (next head))
+            reachable (next h))
       done)
     scenarios
 

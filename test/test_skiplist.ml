@@ -22,7 +22,7 @@ let level_keys arena head l =
     let n = Arena.get arena i in
     if n.Node.key = Dstruct.Set_intf.max_key_bound then List.rev acc
     else begin
-      let w = Atomic.get (Node.word n (min l (n.Node.level - 1))) in
+      let w = Atomic.get (Node.word n (min l (Node.level n - 1))) in
       let w0 = Atomic.get (Node.next0 n) in
       let acc =
         if i <> head && not (Packed.is_marked w0) then n.Node.key :: acc

@@ -33,6 +33,60 @@ let test_alloc_shape () =
       Alcotest.(check int) "version = birth" b (Packed.version v);
       Alcotest.(check bool) "unmarked" false (Packed.is_marked v))
 
+let test_alloc_sentinels () =
+  (* n never-retired sentinels in one contiguous range: key, birth = the
+     current epoch, retire = bottom, link0 = (next, max birth
+     next_birth). None of them may reach a pool, so neither a rollback's
+     pending flush nor the next allocation can hand one out. *)
+  let arena = Arena.create ~capacity:1_000 in
+  let global = Global_pool.create ~max_level:4 in
+  let vbr = Vbr.create_tuned ~retire_threshold:0 ~arena ~global ~n_threads:2 () in
+  ignore (Epoch.try_advance (Vbr.epoch vbr) ~expected:(Epoch.get (Vbr.epoch vbr)));
+  let e = Epoch.get (Vbr.epoch vbr) in
+  let n = 5 and next = 900 and next_birth = e + 7 in
+  let base, b = Vbr.alloc_sentinels vbr ~n ~key:(-3) ~next ~next_birth in
+  Alcotest.(check int) "birth is the current epoch" e b;
+  Alcotest.(check int) "range covers the first fresh slots" 1 base;
+  Alcotest.(check int) "arena claimed exactly n" n (Arena.allocated arena);
+  for i = base to base + n - 1 do
+    let nd = Arena.get arena i in
+    let w = Atomic.get (Node.next0 nd) in
+    Alcotest.(check int) "key" (-3) nd.Node.key;
+    Alcotest.(check int) "level 1" 1 (Node.level nd);
+    Alcotest.(check int) "birth" b (Atomic.get nd.Node.birth);
+    Alcotest.(check int) "retire is bottom" Node.no_epoch
+      (Atomic.get nd.Node.retire);
+    Alcotest.(check int) "link0 index" next (Packed.index w);
+    Alcotest.(check int) "link0 version = max birth next_birth"
+      (max b next_birth) (Packed.version w);
+    Alcotest.(check bool) "link0 unmarked" false (Packed.is_marked w)
+  done;
+  let _, b2 = Vbr.alloc_sentinels vbr ~n:1 ~key:0 ~next:0 ~next_birth:0 in
+  Alcotest.(check int) "null next: version = birth" b2
+    (Packed.version (Atomic.get (Node.next0 (Arena.get arena (base + n)))));
+  let s = Vbr.total_stats vbr in
+  Alcotest.(check int) "one Alloc per sentinel" (n + 1) s.Vbr.allocs;
+  (* A rollback flushes the pending list; then allocate: the slot must be
+     fresh, past the sentinels. *)
+  let c = Vbr.ctx vbr ~tid:0 in
+  let first = ref true in
+  let i =
+    run_ckpt c (fun () ->
+        if !first then begin
+          first := false;
+          ignore
+            (Epoch.try_advance (Vbr.epoch vbr)
+               ~expected:(Epoch.get (Vbr.epoch vbr)));
+          Vbr.validate_epoch c
+        end;
+        let i, _ = Vbr.alloc vbr ~tid:0 ~level:1 ~key:1 in
+        Vbr.commit_alloc c i;
+        i)
+  in
+  Alcotest.(check int) "next alloc is a fresh slot" (base + n + 1) i;
+  Alcotest.(check int) "nothing recycled" 0 (Vbr.total_stats vbr).Vbr.recycled;
+  Alcotest.(check int) "global pool untouched" 0 (Global_pool.approx_batches global)
+
 let test_reallocation_epoch_advances () =
   (* Re-allocating a slot retired in the current epoch must bump the
      global epoch so the new birth strictly exceeds the old retire
@@ -377,7 +431,7 @@ let test_layout_word0_isolated () =
   Atomic.set upper (Packed.pack ~marked:false ~index:9 ~version:3);
   let check_fields what =
     Alcotest.(check int) (what ^ ": key") 42 n.Node.key;
-    Alcotest.(check int) (what ^ ": level") 2 n.Node.level;
+    Alcotest.(check int) (what ^ ": level") 2 (Node.level n);
     Alcotest.(check int) (what ^ ": birth") 5 (Atomic.get n.Node.birth);
     Alcotest.(check int) (what ^ ": retire") 7 (Atomic.get n.Node.retire);
     Alcotest.(check int) (what ^ ": upper word")
@@ -408,7 +462,8 @@ let test_layout_word0_isolated () =
 
 let test_layout_heap_words () =
   (* The empty tower of a level-1 node is one static atom shared by every
-     such node, so it is not part of the node's own footprint. *)
+     such node, so it is not part of the node's own footprint: what is
+     left is the 6-word record plus the two 2-word epoch cells. *)
   let n = Node.make ~level:1 in
   Alcotest.(check bool) "level-1 nodes share the empty tower" true
     (n.Node.upper == (Node.make ~level:1).Node.upper);
@@ -417,8 +472,8 @@ let test_layout_heap_words () =
     - Obj.reachable_words (Obj.repr n.Node.upper)
   in
   Alcotest.(check bool)
-    (Printf.sprintf "fresh level-1 node is <= 11 heap words (got %d)" words)
-    true (words <= 11)
+    (Printf.sprintf "fresh level-1 node is <= 10 heap words (got %d)" words)
+    true (words <= 10)
 
 let test_layout_access_identity () =
   (* An Access hook sees one physical word for every level-0 primitive on
@@ -475,6 +530,7 @@ let () =
       ( "unit",
         [
           Alcotest.test_case "alloc shape" `Quick test_alloc_shape;
+          Alcotest.test_case "alloc_sentinels" `Quick test_alloc_sentinels;
           Alcotest.test_case "reallocation advances epoch" `Quick
             test_reallocation_epoch_advances;
           Alcotest.test_case "double-retire guard" `Quick
