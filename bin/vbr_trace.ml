@@ -1,8 +1,9 @@
 (* vbr-trace: replay lifecycle trace CSVs (written by the bench's --trace
-   mode) through the offline SMR invariant checker, Lint.Trace_check, and
-   report violations in vbr-lint's file:line / rule / hint format. Exit 1
-   iff any violation was found (or, under --no-truncation, any input ring
-   overwrote events — the CI gate uses that to insist on full traces). *)
+   mode) through the offline SMR invariant checker, Trace_check, and
+   report violations in vbr-verify's file:line / rule / hint format. Exit
+   1 iff any violation was found (or, under --no-truncation, any input
+   ring overwrote events — the CI gate uses that to insist on full
+   traces). *)
 
 let usage = "vbr-trace [--no-truncation] [--quiet] TRACE.csv..."
 
@@ -33,8 +34,8 @@ let () =
           Printf.eprintf "%s\n" msg;
           failed := true
       | dump ->
-          let { Lint.Trace_check.findings; truncated } =
-            Lint.Trace_check.check ~file dump
+          let { Trace_check.findings; truncated } =
+            Trace_check.check ~file dump
           in
           if truncated then
             if !no_trunc then begin

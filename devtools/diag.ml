@@ -1,4 +1,4 @@
-(* Consolidated debugging drivers. One executable, three subcommands:
+(* Consolidated debugging drivers. One executable, four subcommands:
 
      diag pool    — single-threaded allocator exerciser: random put/take
                     churn against one pool, then drain, printing counters.
@@ -10,8 +10,6 @@
      diag trace   — pretty-print a lifecycle trace CSV (vbr-bench --trace):
                     per-kind and per-thread event counts plus the last N
                     events, tid-tagged, for eyeballing an execution tail.
-     diag top     — live view over a vbr-kv /metrics endpoint (the same
-                    renderer as bin/vbr_top.exe), refreshing at 1 Hz.
 
    These are operator tools, not tests: they print to stdout and are run
    by hand while chasing a bug. *)
@@ -246,13 +244,6 @@ let trace_tail path n =
       e.Obs.Trace.e_slot e.Obs.Trace.e_v1 e.Obs.Trace.e_v2 e.Obs.Trace.e_epoch
   done
 
-(* ------------------------------------------------------------------ *)
-(* diag top                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let top host port =
-  exit (Net.Top.run ~host ~port ~interval_s:1.0 ~once:false ())
-
 let () =
   match Sys.argv with
   | [| _; "pool" |] -> pool_exercise ()
@@ -260,8 +251,6 @@ let () =
   | [| _; "hang" |] -> hang_repro ()
   | [| _; "trace"; path |] -> trace_tail path 40
   | [| _; "trace"; path; n |] -> trace_tail path (int_of_string n)
-  | [| _; "top"; port |] -> top "127.0.0.1" (int_of_string port)
-  | [| _; "top"; host; port |] -> top host (int_of_string port)
   | _ ->
-      prerr_endline "usage: diag {pool|ticker|hang|trace FILE [N]|top [HOST] PORT}";
+      prerr_endline "usage: diag {pool|ticker|hang|trace FILE [N]}";
       exit 64

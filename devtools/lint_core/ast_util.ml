@@ -1,20 +1,6 @@
-(* Small helpers over compiler-libs Parsetree shared by the rules. *)
-
-open Parsetree
-
-let line_of (loc : Location.t) = loc.loc_start.pos_lnum
-let col_of (loc : Location.t) = loc.loc_start.pos_cnum - loc.loc_start.pos_bol
-
-(* "Stdlib.Atomic.get" / "Atomic.get" / "V.get_next" -> dotted string. *)
-let flat_of_longident (lid : Longident.t) =
-  String.concat "." (Longident.flatten lid)
-
-(* The dotted name of the function in application position, if it is a
-   plain (possibly qualified) identifier. *)
-let fn_name (e : expression) =
-  match e.pexp_desc with
-  | Pexp_ident { txt; _ } -> Some (flat_of_longident txt)
-  | _ -> None
+(* Dotted-name helpers shared by the rules: every call site and
+   identifier reaches them as a canonical dotted path
+   ("Stdlib.Atomic.get", "V.get_next"). *)
 
 let last_component name =
   match String.rindex_opt name '.' with
@@ -37,95 +23,3 @@ let suffix_matches name ~suffixes =
       ln > ls + 1
       && String.sub name (ln - ls - 1) (ls + 1) = "." ^ sfx)
     suffixes
-
-(* Does [e]'s subtree contain any function application at all? Used to
-   distinguish node words reached through an accessor chain
-   (e.g. [next_word t i], [Arena.get a i]) from entry-point/root words
-   named by a plain path (e.g. [t.top]). *)
-let contains_application (e : expression) =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_apply (_, _) -> found := true
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  !found
-
-(* Iterate over every function application in a structure:
-   [f ~name ~loc args] for each [Pexp_apply] whose head is an identifier. *)
-let iter_applications (str : structure) ~f =
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_apply (head, args) -> (
-              match fn_name head with
-              | Some name -> f ~name ~loc:e.pexp_loc args
-              | None -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.structure it str
-
-(* Iterate over every "function-level" value binding: the bindings of
-   structure-level [let]s, at any module-nesting depth (our data-structure
-   modules are functors, so their operations live one [module Make] down).
-   [f] receives the binding name (when the pattern is a variable) and the
-   binding itself. *)
-let iter_toplevel_bindings (str : structure) ~f =
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      structure_item =
-        (fun it si ->
-          (match si.pstr_desc with
-          | Pstr_value (_, vbs) ->
-              List.iter
-                (fun vb ->
-                  let name =
-                    match vb.pvb_pat.ppat_desc with
-                    | Ppat_var { txt; _ } -> Some txt
-                    | _ -> None
-                  in
-                  f ~name vb)
-                vbs
-          | _ -> ());
-          Ast_iterator.default_iterator.structure_item it si);
-      (* Do not descend into expressions from here: [let ... in] bindings
-         inside a function body are part of that function, not separate
-         top-level bindings. The default structure_item iteration above
-         still reaches nested modules/functors. *)
-      expr = (fun _ _ -> ());
-    }
-  in
-  it.structure it str
-
-(* Applications inside one expression subtree, with locations. *)
-let applications_in (e : expression) =
-  let acc = ref [] in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_apply (head, args) -> (
-              match fn_name head with
-              | Some name -> acc := (name, e.pexp_loc, args) :: !acc
-              | None -> ())
-          | _ -> ());
-          Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it e;
-  List.rev !acc

@@ -1,4 +1,4 @@
-(* One lint finding: a rule violation anchored to a file position, with a
+(* One checker finding: a rule violation anchored to a file position, with a
    fix hint so the report is actionable without opening DESIGN.md. *)
 
 type t = {
@@ -24,10 +24,6 @@ let compare a b =
           | c -> c)
       | c -> c)
   | c -> c
-
-let pp ppf f =
-  Format.fprintf ppf "%s:%d:%d: [%s] %s@,    hint: %s" f.file f.line f.col
-    f.rule f.message f.hint
 
 let to_string f =
   Printf.sprintf "%s:%d:%d: [%s] %s\n    hint: %s" f.file f.line f.col f.rule

@@ -41,47 +41,14 @@ let spans_of_attrs attrs ~(loc : Location.t) =
     (fun attr ->
       List.map
         (fun rule ->
-          { rule; first = Ast_util.line_of loc; last = loc.loc_end.pos_lnum })
+          { rule; first = loc.loc_start.pos_lnum; last = loc.loc_end.pos_lnum })
         (rules_of_attr attr))
     attrs
 
-(* Parse-tree collector (vbr-lint). *)
-let collect (str : structure) =
-  let spans = ref [] in
-  let add s = spans := s @ !spans in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          add (spans_of_attrs e.pexp_attributes ~loc:e.pexp_loc);
-          Ast_iterator.default_iterator.expr it e);
-      value_binding =
-        (fun it vb ->
-          add (spans_of_attrs vb.pvb_attributes ~loc:vb.pvb_loc);
-          Ast_iterator.default_iterator.value_binding it vb);
-      structure_item =
-        (fun it si ->
-          (match si.pstr_desc with
-          | Pstr_attribute attr ->
-              (* Floating attribute: file-wide suppression. *)
-              add
-                (List.map
-                   (fun rule -> { rule; first = 1; last = whole_file })
-                   (rules_of_attr attr))
-          | _ -> ());
-          Ast_iterator.default_iterator.structure_item it si);
-    }
-  in
-  it.structure it str;
-  !spans
-
-(* Typed-tree collector (vbr-verify). Typedtree nodes carry the very
-   same Parsetree attributes, so the verifier honors the identical
-   attribute at the identical expr/binding/file granularity: the spans
-   produced here for a file are the spans [collect] produces from its
-   parse tree. *)
-let collect_typed (str : Typedtree.structure) =
+(* Typed-tree collector. Typedtree nodes carry the Parsetree
+   attributes verbatim, so a span covers exactly the source lines of
+   the attributed expression, binding or file. *)
+let collect (str : Typedtree.structure) =
   let spans = ref [] in
   let add s = spans := s @ !spans in
   let it =

@@ -1,14 +1,16 @@
-(* Loading the typed trees dune already produces. Every library module
-   compiled under <root>/lib leaves a .cmt (binary-annotated typed tree)
-   in its library's .<lib>.objs/byte directory; the verifier scans for
-   them instead of re-typechecking, so it sees exactly the trees the
-   compiler certified, with module aliases, opens and functor parameters
-   resolved the way the type-checker resolved them.
+(* Loading the typed trees dune already produces. Every module compiled
+   under the scanned directories leaves a .cmt (binary-annotated typed
+   tree) in its library's .<lib>.objs/byte (or executable's .eobjs/byte)
+   directory, and a .cmti beside it when the module has an interface;
+   the verifier scans for them instead of re-typechecking, so it sees
+   exactly the trees the compiler certified, with module aliases, opens
+   and functor parameters resolved the way the type-checker resolved
+   them.
 
    The repo-relative source path is reconstructed from the .cmt's own
    location (its directory minus the dune-internal .objs/byte suffix)
-   plus the basename the compiler recorded, so the same Scope/Suppress
-   machinery the untyped linter uses applies unchanged. *)
+   plus the basename the compiler recorded, so Scope classification and
+   [@vbr.allow] spans key on source paths. *)
 
 open Lint_core
 
@@ -17,9 +19,10 @@ type file = {
   scope : Scope.t;
   str : Typedtree.structure;
   spans : Suppress.span list;  (* [@vbr.allow] spans from the typed tree *)
+  intf : bool;  (* the module has an .mli (a .cmti sits beside the .cmt) *)
 }
 
-let scan_dirs = [ "lib" ]
+let scan_dirs = [ "lib"; "bench"; "bin"; "examples" ]
 
 let rec walk dir acc =
   match Sys.readdir dir with
@@ -76,7 +79,9 @@ let load_one ~root cmt_path =
               rel;
               scope = Scope.classify rel;
               str;
-              spans = Suppress.collect_typed str;
+              spans = Suppress.collect str;
+              intf =
+                Sys.file_exists (Filename.remove_extension cmt_path ^ ".cmti");
             }
       | _ -> None)
 

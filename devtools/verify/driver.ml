@@ -1,7 +1,7 @@
 (* The verify driver: load every .cmt under the scan root, build the
    whole-program model once, run the interprocedural rule table, filter
-   [@vbr.allow] spans (collected from the typed trees, same attribute
-   and granularity as vbr-lint), and report text, JSON and SARIF.
+   [@vbr.allow] spans (collected from the typed trees at expression,
+   binding and file granularity), and report text, JSON and SARIF.
    Exit status 1 iff findings remain; 2 if no typed trees were found
    (the build that produces them did not run -- a misconfiguration, not
    a clean tree). *)
@@ -92,9 +92,10 @@ let main () =
     Sarif.write_file !sarif ~tool ~rules:(Registry.docs ()) findings;
   if nfiles = 0 then begin
     Printf.eprintf
-      "vbr-verify: no .cmt files under %s/lib -- build the libraries first \
+      "vbr-verify: no .cmt files under %s/{%s} -- build them first \
        (dune build @check)\n"
-      !root;
+      !root
+      (String.concat "," Cmt_load.scan_dirs);
     2
   end
   else if findings = [] then begin

@@ -41,8 +41,8 @@ let blocking =
 let is_blocking canon = Ast_util.suffix_matches canon ~suffixes:blocking
 
 (* A guard-engaging function body in guarded/scheme code is a critical
-   region by containment (same approximation the untyped linter uses
-   for its lexical rules). *)
+   region by containment (a lexical approximation: the whole body counts,
+   not just the span between begin_op and end_op). *)
 let guard_critical (p : Prog.t) =
   Array.map
     (fun (f : Prog.fn) ->

@@ -4,13 +4,13 @@
    Lexical coverage comes from the site walk ([in_ckpt]); the
    interprocedural part is a least fixpoint computing, per function,
    "reachable with no checkpoint installed": a function is unprotected
-   if it has no uses at all inside lib/ (so nothing proves a caller
-   installs one), or if some use is itself uncovered -- outside any
+   if it has no uses at all in the checked tree (so nothing proves a
+   caller installs one), or if some use is itself uncovered -- outside any
    checkpoint argument, in module-level code or in a function that is
    itself unprotected. A plane primitive then only needs flagging when
    it is lexically uncovered *and* its enclosing function is
    unprotected: the find/skip helpers of vbr_list, whose every call
-   chain bottoms out inside a checkpoint2/3 argument, are proven safe
+   chain bottoms out inside a checkpoint2 argument, are proven safe
    with no annotation.
 
    A second, lexical sub-check enforces the paper's post-publish
@@ -115,7 +115,7 @@ let unprotected (p : Prog.t) =
 
 let witness (p : Prog.t) unprot (f : Prog.fn) =
   if p.uses.(f.id) = [] then
-    "it has no callers in lib/, so nothing installs one"
+    "it has no callers in the checked tree, so nothing installs one"
   else
     match
       List.find_opt

@@ -78,7 +78,8 @@ let uncovered (p : Prog.t) =
 
 let witness (p : Prog.t) engages unc (f : Prog.fn) =
   if p.uses.(f.id) = [] then
-    "it has no callers in lib/, so no guard-engaging caller covers it"
+    "it has no callers in the checked tree, so no guard-engaging caller \
+     covers it"
   else
     match
       List.find_opt

@@ -1,15 +1,12 @@
-(* raw-atomic, typed edition: optimistic vbr_ structures must go
-   through the versioned plane, never raw Atomic. The untyped linter
-   matches the literal path [Atomic.op] and is blind to [module A =
-   Atomic] and [open Atomic]; here the type-checker has already
-   resolved every use to its canonical path (Stdlib.Atomic.op), and the
-   file-local alias table catches renamings, so both spellings are
-   caught. The rule keeps the untyped rule's name on purpose: the
-   discipline is the same, so one [@vbr.allow "raw-atomic"] suppresses
-   the same exemption in both tools (the quiescent to_list debug
-   helpers rely on that).
+(* raw-atomic: optimistic vbr_ structures must go through the
+   versioned plane, never raw Atomic. A parse-tree matcher sees only
+   the literal path [Atomic.op] and is blind to [module A = Atomic] and
+   [open Atomic]; here the type-checker has already resolved every use
+   to its canonical path (Stdlib.Atomic.op), and the file-local alias
+   table catches renamings, so both spellings are caught. The quiescent
+   to_list debug helpers carry [@@vbr.allow "raw-atomic"].
 
-   The Padded.cell exemption also carries over: reading through the
+   Accesses routed through Padded.cell are exempt: reading through the
    false-sharing padding wrapper is how the plane itself is reached.
 
    The rule also confines the node-layout cast to its one home,
@@ -37,6 +34,8 @@ let atomic_ops =
     "Atomic.compare_and_set";
     "Atomic.exchange";
     "Atomic.fetch_and_add";
+    "Atomic.incr";
+    "Atomic.decr";
     "Atomic.make";
   ]
 

@@ -289,3 +289,74 @@ let check (p : Prog.t) =
       | _ -> ())
     p.fns;
   List.sort_uniq Stdlib.compare (List.rev !findings)
+
+(* retire-discipline, the lexical companion of retire-taint: a node may
+   only be retired after its final unlink, i.e. after this operation won
+   a logical-delete mark or an unlink CAS -- retiring a still-reachable
+   node is the use-after-free the SMR schemes exist to prevent. So every
+   [retire] must follow, in the same function, a mark/CAS-plane call
+   (the witness). [dealloc] is the never-published fast path: it must
+   follow an [alloc] in the same function. Module-level code counts as
+   one function per file. *)
+module Discipline = struct
+  let name = "retire-discipline"
+
+  let doc =
+    "retire only after a mark/unlink CAS in the same function; dealloc only \
+     after an alloc in the same function"
+
+  let witnesses = [ "mark"; "update"; "cas_root"; "compare_and_set" ]
+
+  let call_of ~qualified names (s : Prog.site) =
+    match s.kind with
+    | Call _ ->
+        ((not qualified) || Ast_util.is_qualified s.canon)
+        && List.mem (Ast_util.last_component s.canon) names
+    | Ref -> false
+
+  let group_findings ~file sites =
+    let preceded pred (s : Prog.site) =
+      List.exists
+        (fun (w : Prog.site) -> pred w && not (Tast_util.pos_leq s.loc w.loc))
+        sites
+    in
+    List.filter_map
+      (fun (s : Prog.site) ->
+        let flag message hint =
+          Some (Prog.finding ~rule:name ~file s.loc ~message ~hint)
+        in
+        if
+          is_retire s.canon
+          && not (preceded (call_of ~qualified:false witnesses) s)
+        then
+          flag
+            "retire without a preceding mark/CAS in the same function"
+            "retire must follow the logical delete (mark) or unlink CAS \
+             that made the node unreachable; restructure, or move the \
+             retire next to its witness"
+        else if
+          call_of ~qualified:true [ "dealloc" ] s
+          && not (preceded (call_of ~qualified:true [ "alloc"; "alloc_ctx" ]) s)
+        then
+          flag "dealloc of a node this function did not allocate"
+            "dealloc is only for never-published nodes, local to the \
+             allocating operation (alloc ... dealloc in one function); a \
+             shared node must go through retire"
+        else None)
+      sites
+
+  let check (p : Prog.t) =
+    let policed kind = kind = Scope.Optimistic || kind = Scope.Guarded in
+    List.concat_map
+      (fun (f : Prog.fn) ->
+        if policed f.scope.kind then
+          group_findings ~file:f.file p.fn_sites.(f.id)
+        else [])
+      (Array.to_list p.fns)
+    @ List.concat_map
+        (fun (f : Cmt_load.file) ->
+          if policed f.scope.kind then
+            group_findings ~file:f.rel (Prog.toplevel_sites p f.rel)
+          else [])
+        p.files
+end

@@ -5,7 +5,7 @@
    ([module A = Atomic]) expanded transitively. [open]ed modules need no
    work at all -- the typed path already carries the full prefix (an
    [open Atomic] use of [get] shows up as [Stdlib.Atomic.get]) -- which
-   is exactly the class of miss the untyped linter cannot see. Functor
+   is exactly the class of miss a parse-tree matcher cannot see. Functor
    parameters stay literal ([V.get_next]), which the rules rely on:
    structure code written against the OPTIMISTIC signature is matched by
    the suffix of the canonical name, not a hardcoded implementation
@@ -108,8 +108,8 @@ let idents_of (e : expression) : Ident.t list =
   it.expr it e;
   !acc
 
-(* Does [e] contain an application? The guard rules use this the same
-   way the untyped linter does: [Atomic.get t.head] reads a root cell
+(* Does [e] contain an application? The guard rules use this to tell
+   the two kinds of word apart: [Atomic.get t.head] reads a root cell
    (subject is a projection), [Access.get (next_word t n)] reads a node
    word reached through a helper call. *)
 let contains_apply (e : expression) : bool =

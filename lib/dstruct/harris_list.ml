@@ -12,7 +12,7 @@ module Make (R : Reclaim.Smr_intf.S) = struct
       (Node.next0 (Arena.get arena head))
       (Packed.pack ~marked:false ~index:tail ~version:0);
     { r; arena; head; tail }
-  [@@vbr.allow "guarded-deref" "guard-extent"] (* single-threaded construction *)
+  [@@vbr.allow "guard-extent"] (* single-threaded construction *)
 
   let next_word t i = Node.next0 (Arena.get t.arena i)
   let key_of t i = (Arena.get t.arena i).Node.key
@@ -67,8 +67,8 @@ module Make (R : Reclaim.Smr_intf.S) = struct
     else search t ~tid key
   (* Harris traversal reads raw words by design: the caller's begin_op
      pins the epoch (EBR) for the whole operation, so no per-node protect
-     happens inside this helper. *)
-  [@@vbr.allow "guarded-deref"]
+     happens inside this helper (vbr-verify's guard-extent proves every
+     caller brackets it). *)
 
   let insert t ~tid key =
     R.begin_op t.r ~tid;
@@ -138,7 +138,7 @@ module Make (R : Reclaim.Smr_intf.S) = struct
       end
     in
     go [] t.head
-  [@@vbr.allow "guarded-deref" "guard-extent"]
+  [@@vbr.allow "guard-extent"]
 
   let size t = List.length (to_list t)
 end

@@ -21,7 +21,7 @@ module Make (R : Reclaim.Smr_intf.S) = struct
       (Node.next0 (Arena.get arena head))
       (Packed.pack ~marked:false ~index:tail ~version:0);
     { r; arena; head }
-  [@@vbr.allow "guarded-deref" "guard-extent"] (* single-threaded construction *)
+  [@@vbr.allow "guard-extent"] (* single-threaded construction *)
 
   let next_word t i = Node.next0 (Arena.get t.arena i)
   let key_of t i = (Arena.get t.arena i).Node.key
@@ -133,7 +133,7 @@ module Make (R : Reclaim.Smr_intf.S) = struct
       else go acc succ
     in
     go [] t.head
-  [@@vbr.allow "guarded-deref" "guard-extent"]
+  [@@vbr.allow "guard-extent"]
 
   let size t = List.length (to_list t)
 end

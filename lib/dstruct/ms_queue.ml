@@ -97,7 +97,7 @@ module Make (R : Reclaim.Smr_intf.S) = struct
       else go ((Arena.get t.arena nxt).Node.key :: acc) nxt
     in
     go [] h
-  [@@vbr.allow "guarded-deref" "guard-extent"]
+  [@@vbr.allow "guard-extent"]
 
   let length t = List.length (to_list t)
 end

@@ -241,7 +241,7 @@ module Make (R : Reclaim.Smr_intf.S) = struct
       end
     in
     go [] t.head
-  [@@vbr.allow "guarded-deref" "guard-extent"]
+  [@@vbr.allow "guard-extent"]
 
   let size t = List.length (to_list t)
 end

@@ -57,7 +57,7 @@ module Make (R : Reclaim.Smr_intf.S) = struct
           (Packed.index (Access.get (next_word t i)))
     in
     go [] (Packed.index (Access.get t.top))
-  [@@vbr.allow "guarded-deref" "guard-extent"]
+  [@@vbr.allow "guard-extent"]
 
   let length t = List.length (to_list t)
 end

@@ -50,13 +50,11 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
      [key] in a fresh closure on every operation. *)
   let pred_birth head c pred =
     if pred = P.index head then P.version head else V.get_birth c pred
-  [@@vbr.allow "checkpoint-scope"]
 
   let rec find_retry head c key =
     let h = P.index head in
     let curr = P.index (V.get_next_raw c ~lvl:0 h) in
     find_loop head c key h curr (V.get_key c curr)
-  [@@vbr.allow "checkpoint-scope"]
 
   and find_loop head c key pred curr curr_key =
     let w = V.get_next_raw c ~lvl:0 curr in
@@ -82,12 +80,10 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
     else
       let succ = P.index w in
       find_loop head c key curr succ (V.get_key c succ)
-  [@@vbr.allow "checkpoint-scope"]
 
   and skip_marked c s =
     let sw = V.get_next_raw c ~lvl:0 s in
     if P.is_marked sw then skip_marked c (P.index sw) else s
-  [@@vbr.allow "checkpoint-scope"]
 
   (* Figure 4. The body re-enters itself on a failed publishing CAS
      instead of an inner loop closure; its checkpoint is installed by
@@ -120,7 +116,6 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
         insert_body c head key
       end
     end
-  [@@vbr.allow "checkpoint-scope"]
 
   let insert_at vbr ~head ~tid key =
     V.checkpoint2 (V.ctx vbr ~tid) insert_body head key
@@ -151,7 +146,6 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
       true
     end
     else delete_mark_loop c head key pred pred_b curr curr_b
-  [@@vbr.allow "checkpoint-scope"]
 
   let delete_body c head key =
     find_retry head c key;
@@ -159,7 +153,6 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
     let pred = s.(0) and pred_b = s.(1) and curr = s.(2) and curr_b = s.(3) in
     if s.(4) <> key then false
     else delete_mark_loop c head key pred pred_b curr curr_b
-  [@@vbr.allow "checkpoint-scope"]
 
   let delete_at vbr ~head ~tid key =
     V.checkpoint2 (V.ctx vbr ~tid) delete_body head key
@@ -173,12 +166,10 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
       let succ = P.index (V.get_next_raw c ~lvl:0 curr) in
       contains_loop c key succ (V.get_key c succ)
     else curr_key = key && not (P.is_marked (V.get_next_raw c ~lvl:0 curr))
-  [@@vbr.allow "checkpoint-scope"]
 
   let contains_body c head key =
     let curr = P.index (V.get_next_raw c ~lvl:0 (P.index head)) in
     contains_loop c key curr (V.get_key c curr)
-  [@@vbr.allow "checkpoint-scope"]
 
   let contains_at vbr ~head ~tid key =
     V.checkpoint2 (V.ctx vbr ~tid) contains_body head key

@@ -113,7 +113,6 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
       done
     done;
     !found
-  [@@vbr.allow "checkpoint-scope"]
 
   let rec insert t ~tid key =
     let c = V.ctx t.vbr ~tid in
@@ -245,7 +244,6 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
         end
       end
     end
-  [@@vbr.allow "checkpoint-scope"]
 
   let delete t ~tid key =
     let c = V.ctx t.vbr ~tid in
@@ -292,7 +290,6 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
      advance, which the validated read turns into the same rollback. *)
   let rec contains_down c key pred l =
     contains_walk c key pred l (P.index (V.get_next_raw c ~lvl:l pred))
-  [@@vbr.allow "checkpoint-scope"]
 
   and contains_walk c key pred l curr =
     let w = V.get_next_raw c ~lvl:l curr in
@@ -302,10 +299,8 @@ module Make (V : Reclaim.Smr_intf.OPTIMISTIC) = struct
       if k < key then contains_walk c key curr l (P.index w)
       else if l = 0 then k = key
       else contains_down c key pred (l - 1)
-  [@@vbr.allow "checkpoint-scope"]
 
   let contains_body c t key = contains_down c key t.head (max_level - 1)
-  [@@vbr.allow "checkpoint-scope"]
 
   let contains t ~tid key =
     let c = V.ctx t.vbr ~tid in

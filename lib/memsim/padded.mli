@@ -9,9 +9,9 @@
     word a line of its own.
 
     Padded values are ordinary values: a padded [Atomic.t] is still an
-    [Atomic.t] and every [Atomic] operation works on it unchanged. The
-    lint's raw-atomic rule recognises accesses routed through {!cell}
-    (see DESIGN §2.13) so optimistic-scope code can touch padded
+    [Atomic.t] and every [Atomic] operation works on it unchanged.
+    vbr-verify's raw-atomic rule recognises accesses routed through
+    {!cell} (see DESIGN §2.13) so optimistic-scope code can touch padded
     bookkeeping atomics without a [\@vbr.allow] annotation. *)
 
 val pad_to_words : int
@@ -39,6 +39,6 @@ val atomic_array : int -> 'a -> 'a Atomic.t array
 
 val cell : 'a Atomic.t -> 'a Atomic.t
 (** Identity, as an annotation: marks an atomic access as touching
-    padded plane bookkeeping (not a simulated node word). vbr-lint's
+    padded plane bookkeeping (not a simulated node word). vbr-verify's
     raw-atomic rule exempts [Atomic.get (Padded.cell c)] and friends in
     optimistic scope. *)

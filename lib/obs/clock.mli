@@ -1,7 +1,7 @@
 (** Wall-clock reads for the measurement layer.
 
-    The determinism lint (DESIGN.md §2.9) confines raw [Unix.gettimeofday]
-    to [lib/harness] and [lib/obs]; everything else that legitimately needs
+    vbr-verify's determinism rule (DESIGN.md §2.14) confines raw
+    [Unix.gettimeofday] to [lib/harness] and [lib/obs]; everything else that legitimately needs
     a timestamp — the net subsystem's latency measurement, operator-facing
     progress lines — takes it through here so the policed planes stay free
     of clock reads. *)

@@ -10,7 +10,7 @@
     immediate, so tracing disabled costs nothing measurable.
 
     Emission placement contract (what makes the offline checker in
-    [Lint.Trace_check] sound, i.e. free of false positives on a correct
+    [Trace_check] sound, i.e. free of false positives on a correct
     execution): events that {e extend} protection or {e enter} a
     lifecycle stage ([Guard_acquire], [Alloc]) are emitted {e after} the
     corresponding store is visible; events that {e shrink} protection or

@@ -156,7 +156,7 @@ let lin_exec ~structure ~scheme ~name ~decisions ~tail ~mode ~coverage =
       match Harness.Lin.check_exn histories with
       | () -> (
           let d = Obs.Trace.dump trace in
-          match (Lint.Trace_check.check ~file:name d).Lint.Trace_check.findings with
+          match (Trace_check.check ~file:name d).Trace_check.findings with
           | [] -> None
           | f :: _ ->
               Some { cls = "trace"; detail = Lint_core.Finding.to_string f })

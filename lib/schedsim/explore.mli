@@ -6,7 +6,7 @@
 
     - [lin-<structure>-<scheme>] (every scheme × list, skiplist): three
       scripted threads, Strict sanitization, a lifecycle trace checked by
-      {!Lint.Trace_check}, and a {!Harness.Lin} linearizability check
+      {!Trace_check}, and a {!Harness.Lin} linearizability check
       over virtually-timestamped histories.
     - [robust-<scheme>-<structure>] (every reclaiming scheme × list,
       skiplist): the paper's §1 descheduled-thread experiment as a

@@ -1,5 +1,5 @@
 (* Lifecycle tracing (Obs.Trace) and the offline invariant checker
-   (Lint.Trace_check): ring overwrite semantics, CSV roundtrip, zero
+   (Trace_check): ring overwrite semantics, CSV roundtrip, zero
    violations on real traced stress runs under every scheme, and one
    injected-fault fixture per checker rule. *)
 
@@ -97,8 +97,8 @@ let traced_stress scheme () =
     "trace non-empty" true
     (Array.length d.Obs.Trace.d_events > 0);
   check_int "untruncated" 0 d.Obs.Trace.d_dropped;
-  let { Lint.Trace_check.findings; truncated } =
-    Lint.Trace_check.check ~file:(scheme ^ ".csv") d
+  let { Trace_check.findings; truncated } =
+    Trace_check.check ~file:(scheme ^ ".csv") d
   in
   Alcotest.(check bool) "not truncated" false truncated;
   match findings with
@@ -136,8 +136,8 @@ let mk_dump ?(dropped = 0) events =
 let rules fs = List.map (fun f -> f.Lint_core.Finding.rule) fs
 
 let expect_rule name fixture rule ~substring =
-  let { Lint.Trace_check.findings; _ } =
-    Lint.Trace_check.check ~file:"fixture.csv" (mk_dump fixture)
+  let { Trace_check.findings; _ } =
+    Trace_check.check ~file:"fixture.csv" (mk_dump fixture)
   in
   match
     List.find_opt
@@ -157,8 +157,8 @@ let expect_rule name fixture rule ~substring =
         (String.concat "; " (rules findings))
 
 let expect_clean name fixture =
-  let { Lint.Trace_check.findings; _ } =
-    Lint.Trace_check.check ~file:"fixture.csv" (mk_dump fixture)
+  let { Trace_check.findings; _ } =
+    Trace_check.check ~file:"fixture.csv" (mk_dump fixture)
   in
   if findings <> [] then
     Alcotest.failf "%s: expected clean, got %s" name
@@ -291,15 +291,15 @@ let test_truncation_policy () =
       ev ~tid:0 ~seq:2 Obs.Trace.Epoch_advance ~slot:0 ~v1:4 ~v2:6 ~epoch:6;
     ]
   in
-  let { Lint.Trace_check.findings; truncated } =
-    Lint.Trace_check.check ~file:"fixture.csv" (mk_dump ~dropped:3 fixture)
+  let { Trace_check.findings; truncated } =
+    Trace_check.check ~file:"fixture.csv" (mk_dump ~dropped:3 fixture)
   in
   Alcotest.(check bool) "flagged truncated" true truncated;
   Alcotest.(check (list string))
     "only epoch rules ran" [ "trace-epoch-advance" ] (rules findings);
   (* The same events untruncated flag the double retire too. *)
-  let { Lint.Trace_check.findings; truncated } =
-    Lint.Trace_check.check ~file:"fixture.csv" (mk_dump fixture)
+  let { Trace_check.findings; truncated } =
+    Trace_check.check ~file:"fixture.csv" (mk_dump fixture)
   in
   Alcotest.(check bool) "not truncated" false truncated;
   Alcotest.(check (list string))

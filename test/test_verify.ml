@@ -1,14 +1,13 @@
 (* vbr-verify test suite. Drives the same [Verify] library that backs
    bin/vbr_verify.exe over the compiled fixture tree in
-   verify_fixtures/ (a real dune library, because the verifier consumes
+   verify_fixtures/ (real dune libraries, because the verifier consumes
    .cmt typed trees) and asserts exact (rule, file, line) matches for
    each seeded violation, plus the clean status of every good twin and
    of the suppression-granularity file. The alias fixture doubles as
-   the raw-atomic false-negative regression: the untyped linter is run
-   over the same sources and must see nothing where the typed rule sees
-   two findings. Finally asserts the shipped tree is finding-free via
-   the @verify report built by the root dune rule (a dep of this
-   test). *)
+   the raw-atomic false-negative regression: both spellings a
+   parse-tree matcher misses are flagged. Finally asserts the shipped
+   tree is finding-free via the @verify report built by the root dune
+   rule (a dep of this test). *)
 
 let fixture_root = "verify_fixtures"
 let fixture_run = lazy (Verify.Driver.run ~root:fixture_root ())
@@ -52,19 +51,20 @@ let check_only_seeded ~file ~lines () =
 
 let test_fixture_count () =
   (* One finding per seeded violation and nothing else. *)
-  Alcotest.(check int) "total fixture findings" 11
+  Alcotest.(check int) "total fixture findings" 19
     (List.length (Lazy.force fixture_findings))
 
 let test_cmt_trees_loaded () =
   (* Guards the whole suite against a silently-empty scan: zero loaded
      trees would make every "clean" assertion pass vacuously. *)
   let _, nfiles = Lazy.force fixture_run in
-  Alcotest.(check int) "typed trees loaded from the fixture libraries" 9 nfiles
+  Alcotest.(check int) "typed trees loaded from the fixture libraries" 16
+    nfiles
 
 let test_suppression_granularity () =
   (* vbr_fx_suppress.ml re-seeds three violations other fixture files
-     prove are caught, silenced at expr, binding and file granularity
-     with the same [@vbr.allow] vbr-lint honors. *)
+     prove are caught, silenced by [@vbr.allow] at expr, binding and
+     file granularity. *)
   let offending =
     List.filter
       (fun (f : Lint_core.Finding.t) ->
@@ -75,23 +75,8 @@ let test_suppression_granularity () =
     (pp_findings offending)
 
 let test_syntactic_false_negative () =
-  (* Satellite regression for the untyped raw-atomic rule: the alias and
-     open spellings escape the parse-tree matcher entirely... *)
-  let raw =
-    match Lint.Registry.find "raw-atomic" with
-    | Some r -> r
-    | None -> Alcotest.fail "lint registry lost raw-atomic"
-  in
-  let lint_fs = Lint.Driver.run ~rules:[ raw ] ~root:fixture_root () in
-  let in_alias =
-    List.filter
-      (fun (f : Lint_core.Finding.t) ->
-        f.file = "lib/dstruct/vbr_fx_alias.ml")
-      lint_fs
-  in
-  Alcotest.(check string) "untyped linter misses both spellings" ""
-    (pp_findings in_alias);
-  (* ...while the typed rule resolves both to Stdlib.Atomic.get. *)
+  (* The alias and open spellings escape a parse-tree matcher entirely;
+     the typed rule resolves both to Stdlib.Atomic.get. *)
   let verify_hits =
     List.filter
       (fun (f : Lint_core.Finding.t) ->
@@ -106,9 +91,12 @@ let test_rule_registry () =
     [
       "checkpoint-dominance";
       "retire-taint";
+      "retire-discipline";
       "guard-extent";
       "blocking-in-critical-section";
       "raw-atomic";
+      "determinism";
+      "mli-coverage";
     ]
     (List.map (fun (r : Verify.Registry.rule) -> r.name) Verify.Registry.all)
 
@@ -156,17 +144,27 @@ let test_sarif_shape () =
 let violation_cases =
   [
     (* checkpoint moved to the callee and lost *)
-    ("checkpoint-dominance", "lib/dstruct/vbr_fx_ckpt.ml", 11);
+    ("checkpoint-dominance", "lib/dstruct/vbr_fx_ckpt.ml", 12);
     (* optimistic read after commit_alloc, no refresh/checkpoint *)
-    ("checkpoint-dominance", "lib/dstruct/vbr_fx_ckpt.ml", 31);
+    ("checkpoint-dominance", "lib/dstruct/vbr_fx_ckpt.ml", 32);
+    (* optimistic read with no caller at all *)
+    ("checkpoint-dominance", "lib/dstruct/vbr_fx_ckpt.ml", 36);
     (* retire-then-deref split across a helper *)
-    ("retire-taint", "lib/dstruct/vbr_fx_retire.ml", 15);
+    ("retire-taint", "lib/dstruct/vbr_fx_retire.ml", 16);
     (* same-function use-after-retire *)
-    ("retire-taint", "lib/dstruct/vbr_fx_retire.ml", 22);
+    ("retire-taint", "lib/dstruct/vbr_fx_retire.ml", 23);
+    (* retire with no mark/CAS witness before it *)
+    ("retire-discipline", "lib/dstruct/fx_guarded_retire.ml", 8);
+    (* dealloc with no alloc before it *)
+    ("retire-discipline", "lib/dstruct/fx_guarded_retire.ml", 11);
     (* guard dropped before the extracted traversal *)
-    ("guard-extent", "lib/dstruct/fx_guard.ml", 13);
+    ("guard-extent", "lib/dstruct/fx_guard.ml", 15);
+    (* unguarded node-word read with no caller at all *)
+    ("guard-extent", "lib/dstruct/fx_guard.ml", 19);
     (* Mutex.lock two calls deep inside a checkpoint *)
     ("blocking-in-critical-section", "lib/dstruct/vbr_fx_block.ml", 10);
+    (* plain Atomic.get in a vbr_* module *)
+    ("raw-atomic", "lib/dstruct/vbr_fx_raw.ml", 6);
     (* raw Atomic behind a module alias *)
     ("raw-atomic", "lib/dstruct/vbr_fx_alias.ml", 12);
     (* raw Atomic behind an open *)
@@ -177,19 +175,35 @@ let violation_cases =
     ("raw-atomic", "lib/dstruct/fx_node_cast.ml", 14);
     (* plain write of Node.link0 *)
     ("raw-atomic", "lib/dstruct/fx_node_cast.ml", 17);
+    (* wall-clock read under bench/ *)
+    ("determinism", "bench/fx_time.ml", 4);
+    (* the same read behind a module alias *)
+    ("determinism", "bench/fx_time.ml", 10);
+    (* lib/ module with no .mli *)
+    ("mli-coverage", "lib/fx_nomli/orphan.ml", 1);
   ]
 
 (* Good-twin coverage: per file, only the seeded lines may fire. *)
 let twin_cases =
   [
-    ("lib/dstruct/vbr_fx_ckpt.ml", [ 11; 31 ]);
-    ("lib/dstruct/vbr_fx_retire.ml", [ 15; 22 ]);
-    ("lib/dstruct/fx_guard.ml", [ 13 ]);
+    ("lib/dstruct/vbr_fx_ckpt.ml", [ 12; 32; 36 ]);
+    ("lib/dstruct/vbr_fx_retire.ml", [ 16; 23 ]);
+    ("lib/dstruct/fx_guarded_retire.ml", [ 8; 11 ]);
+    ("lib/dstruct/fx_guard.ml", [ 15; 19 ]);
     ("lib/dstruct/vbr_fx_block.ml", [ 10 ]);
+    ("lib/dstruct/vbr_fx_raw.ml", [ 6 ]);
     ("lib/dstruct/fx_intf.ml", []);
     ("lib/dstruct/fx_node_cast.ml", [ 11; 14; 17 ]);
     (* the cast's exempt home: the same trick, no findings *)
     ("lib/memsim/node.ml", []);
+    (* Atomic ops through Padded.cell / Memsim.Padded.cell are plane
+       bookkeeping, not node words *)
+    ("lib/dstruct/vbr_fx_raw_padded.ml", []);
+    ("bench/fx_time.ml", [ 4; 10 ]);
+    (* the measurement layer may read the wall clock *)
+    ("lib/harness/fx_clock_ok.ml", []);
+    (* a signature carrier needs no .mli *)
+    ("lib/fx_nomli/note_intf.ml", []);
   ]
 
 let () =

@@ -23,4 +23,8 @@ module type GUARD = sig
 
   val begin_op : t -> tid:int -> unit
   val end_op : t -> tid:int -> unit
+  val protect : t -> tid:int -> int -> int
+  val alloc : t -> tid:int -> level:int -> key:int -> int
+  val dealloc : t -> tid:int -> int -> unit
+  val retire : t -> tid:int -> int -> unit
 end

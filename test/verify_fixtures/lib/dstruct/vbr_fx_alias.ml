@@ -1,9 +1,9 @@
 (* The raw-atomic false-negative fixture: both uses below bypass the
    versioned plane, but neither spells the literal path "Atomic.op", so
-   the untyped linter (which matches the parse tree) sees nothing.
-   vbr-verify resolves through the typed tree -- the alias via the
-   file-local module-alias table, the open because the compiler already
-   recorded the canonical path Stdlib.Atomic.get -- and flags both. *)
+   a parse-tree matcher sees nothing. vbr-verify resolves through the
+   typed tree -- the alias via the file-local module-alias table, the
+   open because the compiler already recorded the canonical path
+   Stdlib.Atomic.get -- and flags both. *)
 
 module A = Atomic
 open Atomic

@@ -4,7 +4,8 @@
    good twin has the identical helper shape, proven safe because its
    only caller wraps the call. [publish] seeds the post-publish
    protocol violation: an optimistic read after commit_alloc with no
-   refresh_epoch/checkpoint in between. *)
+   refresh_epoch/checkpoint in between. [probe] is the plainest case:
+   an optimistic read that nothing calls. *)
 
 module Make (V : Fx_intf.OPT) = struct
   (* BAD: flagged at the V.get_key line. *)
@@ -29,4 +30,8 @@ module Make (V : Fx_intf.OPT) = struct
         let n, _b = V.alloc c in
         if V.update c n ~new_:n then V.commit_alloc c n;
         V.get_next c n)
+
+  (* BAD: flagged at the V.get_next line; no caller installs a
+     checkpoint because there is no caller. *)
+  let probe c n = V.get_next c n
 end

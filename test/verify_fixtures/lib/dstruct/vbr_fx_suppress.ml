@@ -1,8 +1,8 @@
-(* Suppression granularity regression: the same [@vbr.allow] attribute
-   vbr-lint honors must silence vbr-verify at the same three levels.
-   Each block below reproduces a violation another fixture file proves
-   is caught, then suppresses it -- at expression, binding and file
-   granularity. This file must contribute zero findings. *)
+(* Suppression granularity regression: [@vbr.allow] must silence
+   vbr-verify at three levels. Each block below reproduces a violation
+   another fixture file proves is caught, then suppresses it -- at
+   expression, binding and file granularity. This file must contribute
+   zero findings. *)
 
 (* file-level: floating attribute suppresses the whole file *)
 [@@@vbr.allow "blocking-in-critical-section"]
